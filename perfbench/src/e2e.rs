@@ -6,18 +6,15 @@ use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use serde::Serialize;
+
 use grape_daemon::protocol::{EventFrame, RequestBody, Response, ResponseBody, StatusInfo};
 
 use crate::daemon::Daemon;
 use crate::loadgen::{Conn, Frame, Sent};
 use crate::oracle::{self, Rows};
-use crate::stats::median;
 use crate::workload::{OpKind, Plan, Workload};
 
-/// `commits_per_s` is the median rate over consecutive windows of this many
-/// saturation-phase commits, so one slow moment of the host does not move
-/// the whole figure.
-pub const SATURATION_WINDOW: usize = 8;
 /// Daemon start-ups per run; `setup_s` is their median.
 pub const SETUPS: usize = 15;
 
@@ -29,6 +26,8 @@ pub struct DaemonRun {
     pub event_ms: Vec<f64>,
     pub read_ms: Vec<f64>,
     pub cold_read_ms: Vec<f64>,
+    /// Eviction round trips (reported on standard error only).
+    pub evict_ms: Vec<f64>,
     pub commits_per_s: f64,
     pub peak_rss_mb: f64,
     pub attempted: usize,
@@ -37,6 +36,8 @@ pub struct DaemonRun {
     pub mismatches: Vec<String>,
     pub late_ms: Vec<f64>,
     pub backlog_max: usize,
+    /// Open-loop sends that found an earlier reply still outstanding.
+    pub backlogged: usize,
     /// Server-side commit time of each open-loop commit (`metrics --samples`).
     pub server_commit_ms: Vec<f64>,
     /// Client commit latency minus the server sample of the same commit.
@@ -56,16 +57,19 @@ pub struct DaemonRun {
 }
 
 /// A request's life on the wire, in seconds from the phase start.
+#[derive(Serialize)]
 pub struct RequestSpan {
     pub op: &'static str,
     pub query: Option<usize>,
     /// The timeline version a commit produced.
     pub version: Option<usize>,
-    pub due: f64,
-    pub sent: f64,
-    pub reply: f64,
+    pub due_s: f64,
+    pub sent_s: f64,
+    pub reply_s: f64,
     /// Arrival of the last event the request caused.
-    pub last_event: Option<f64>,
+    pub last_event_s: Option<f64>,
+    /// The server's own time for a commit (`metrics --samples`), in ms.
+    pub server_ms: Option<f64>,
 }
 
 fn ms(from: Instant, to: Instant) -> f64 {
@@ -133,6 +137,8 @@ fn measure(
     plan: &Plan,
     out: &mut DaemonRun,
 ) -> Result<(), String> {
+    // The warm-up and the baselines are untimed; quick ACKs keep them short.
+    conn.quick_acks(true);
     for &query in &plan.warmup {
         conn.call(RequestBody::Evict { query })?;
         conn.call(RequestBody::Output { query })?;
@@ -175,7 +181,7 @@ fn measure(
     for (query, (want, got)) in expected.iter().zip(&finals).enumerate() {
         if let Some(d) = oracle::diff(want, got) {
             out.mismatches.push(format!(
-                "query {query} differs from a from-work_dir run: {d}"
+                "query {query} differs from a from-scratch run: {d}"
             ));
         }
     }
@@ -250,8 +256,10 @@ fn analyse(
             serde_json::from_str(&reply.payload).map_err(|e| format!("bad reply: {e}"))?;
         let latency = ms(s.due, reply.at);
         if let ResponseBody::Error { kind, message } = &response.body {
+            // A failed request yields no sample; the run is invalid anyway.
             eprintln!("perfbench: request {} failed: {kind:?}: {message}", s.id);
             out.failed += 1;
+            continue;
         }
         let last_event = events_of[i].iter().map(|f| f.at).max();
         if op.saturation {
@@ -261,24 +269,29 @@ fn analyse(
         } else {
             out.late_ms.push(ms(s.due, s.sent));
             out.backlog_max = out.backlog_max.max(s.backlog);
+            out.backlogged += usize::from(s.backlog > 0);
             let (name, query) = match op.kind {
                 OpKind::Commit(_) => ("commit", None),
                 OpKind::Read(q) => ("read", Some(q)),
                 OpKind::Evict(q) => ("evict", Some(q)),
                 OpKind::ColdRead(q) => ("cold_read", Some(q)),
             };
-            let version = match &response.body {
-                ResponseBody::Applied { reports, .. } => reports.last().map(|r| r.version),
-                _ => None,
+            let (version, server_ms) = match &response.body {
+                ResponseBody::Applied { reports, .. } => (
+                    reports.last().map(|r| r.version),
+                    server_samples.get(commit_ordinal).copied(),
+                ),
+                _ => (None, None),
             };
             out.request_spans.push(RequestSpan {
                 op: name,
                 query,
                 version,
-                due: secs(s.due),
-                sent: secs(s.sent),
-                reply: secs(reply.at),
-                last_event: last_event.map(secs),
+                due_s: secs(s.due),
+                sent_s: secs(s.sent),
+                reply_s: secs(reply.at),
+                last_event_s: last_event.map(secs),
+                server_ms,
             });
         }
         match &op.kind {
@@ -315,6 +328,9 @@ fn analyse(
             }
             OpKind::Evict(q) => {
                 evicted.insert(*q);
+                if !op.saturation {
+                    out.evict_ms.push(latency);
+                }
                 if let ResponseBody::Evicted { spill, .. } = &response.body {
                     if let Ok(meta) = std::fs::metadata(spill) {
                         out.spill_bytes.push(meta.len() as f64);
@@ -329,18 +345,17 @@ fn analyse(
             }
         }
     }
-    sat_marks.sort();
-    let rates: Vec<f64> = sat_marks
-        .windows(SATURATION_WINDOW + 1)
-        .step_by(SATURATION_WINDOW)
-        .map(|w| {
-            SATURATION_WINDOW as f64
-                / w[SATURATION_WINDOW]
-                    .saturating_duration_since(w[0])
-                    .as_secs_f64()
-        })
-        .collect();
-    out.commits_per_s = median(&rates).ok_or("the saturation phase is shorter than one window")?;
+    // The whole phase, not a median over short windows: about one eviction
+    // in five folds a spill chain, and whether a window held a fold would
+    // make the window rates bimodal and their median flip between modes.
+    let (Some(&first), Some(&last)) = (sat_marks.iter().min(), sat_marks.iter().max()) else {
+        return Err("the saturation phase sent nothing".to_string());
+    };
+    let elapsed = last.saturating_duration_since(first).as_secs_f64();
+    if elapsed <= 0.0 {
+        return Err("the saturation phase took no time".to_string());
+    }
+    out.commits_per_s = (sat_marks.len() - 1) as f64 / elapsed;
     if main_commits > 0 {
         out.reply_bytes_per_commit = reply_bytes as f64 / main_commits as f64;
         out.event_bytes_per_commit = event_bytes as f64 / main_commits as f64;

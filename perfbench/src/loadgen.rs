@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -33,17 +34,21 @@ extern "C" {
 const IPPROTO_TCP: i32 = 6;
 const TCP_QUICKACK: i32 = 12;
 
-/// Keeps the socket in delayed-ACK mode, as an interactive client's socket
-/// normally is.  Linux switches to quick ACKs on its own heuristics, which
-/// would make a daemon-side Nagle stall last one delayed-ACK period on one
-/// request and none or two on the next; the receiver re-arms this after
-/// every frame.
-fn delay_acks(stream: &TcpStream) {
-    let on: i32 = 0;
+/// Sets the socket's ACK mode.  Delayed ACKs (`quick = false`) are how an
+/// interactive client's socket normally runs, and they make every reply
+/// the daemon holds back under Nagle's algorithm wait one delayed-ACK
+/// period.  Linux leaves that mode on its own heuristics (a delayed-ACK
+/// timer that fires, a long idle gap), which would make the stall last one
+/// period on one request and none on the next; so the mode is re-armed
+/// after every frame read and before every request sent.  Quick ACKs
+/// release a held reply at once; the saturation phase uses them so that
+/// `commits_per_s` follows the daemon's work, not the stall.
+fn set_ack_mode(stream: &TcpStream, quick: bool) {
+    let value = i32::from(quick);
     // SAFETY: the fd is an open socket owned by `stream`, and `value`
     // points at a live i32 whose size is passed as `len`.
     unsafe {
-        setsockopt(stream.as_raw_fd(), IPPROTO_TCP, TCP_QUICKACK, &on, 4);
+        setsockopt(stream.as_raw_fd(), IPPROTO_TCP, TCP_QUICKACK, &value, 4);
     }
 }
 
@@ -72,6 +77,8 @@ type Shared = Arc<(Mutex<Inbox>, Condvar)>;
 pub struct Conn {
     writer: BufWriter<TcpStream>,
     inbox: Shared,
+    /// The ACK mode the receiver re-arms after every frame.
+    quick_acks: Arc<AtomicBool>,
     receiver: Option<JoinHandle<()>>,
     next_id: u64,
     sent: usize,
@@ -84,6 +91,21 @@ pub struct Sent {
     pub due: Instant,
     pub sent: Instant,
     pub backlog: usize,
+}
+
+/// The last stretch before a due time is spun, not slept: a sleeping
+/// thread wakes up late by a varying amount, and the vCPU it runs on may
+/// have gone idle.
+const SPIN: Duration = Duration::from_millis(2);
+
+fn wait_until(due: Instant) {
+    let now = Instant::now();
+    if due > now + SPIN {
+        std::thread::sleep(due - now - SPIN);
+    }
+    while Instant::now() < due {
+        std::hint::spin_loop();
+    }
 }
 
 fn reply_id(payload: &str) -> Option<u64> {
@@ -102,17 +124,26 @@ impl Conn {
             .map_err(|e| format!("TCP_NODELAY: {e}"))?;
         let read_half = stream.try_clone().map_err(|e| e.to_string())?;
         let inbox: Shared = Arc::new((Mutex::new(Inbox::default()), Condvar::new()));
+        let quick_acks = Arc::new(AtomicBool::new(false));
         let receiver = {
-            let inbox = Arc::clone(&inbox);
-            std::thread::spawn(move || receive(read_half, inbox))
+            let (inbox, quick_acks) = (Arc::clone(&inbox), Arc::clone(&quick_acks));
+            std::thread::spawn(move || receive(read_half, inbox, quick_acks))
         };
         Ok(Conn {
             writer: BufWriter::new(stream),
             inbox,
+            quick_acks,
             receiver: Some(receiver),
             next_id: 1,
             sent: 0,
         })
+    }
+
+    /// Switches the socket to quick (`true`) or delayed ACKs, now and
+    /// after every frame the receiver reads from here on.
+    pub fn quick_acks(&mut self, quick: bool) {
+        self.quick_acks.store(quick, Ordering::SeqCst);
+        set_ack_mode(self.writer.get_ref(), quick);
     }
 
     fn take_id(&mut self) -> u64 {
@@ -166,9 +197,10 @@ impl Conn {
         }
     }
 
-    /// Sends the plan's ops: open-loop ops at `start + due`, saturation ops
-    /// whenever fewer than [`SATURATION_DEPTH`] requests are in flight.
-    /// Returns once every reply has arrived or timed out.
+    /// Sends the plan's ops: open-loop ops at `start + due` with delayed
+    /// ACKs, saturation ops with quick ACKs whenever fewer than
+    /// [`SATURATION_DEPTH`] requests are in flight.  Returns once every reply
+    /// has arrived or timed out.
     pub fn drive(&mut self, plan: &Plan, start: Instant) -> Result<Vec<Sent>, String> {
         let first_id = self.next_id;
         let payloads = plan.request_payloads(first_id);
@@ -180,12 +212,10 @@ impl Conn {
                 Instant::now()
             } else {
                 let due = start + Duration::from_secs_f64(op.due);
-                let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
+                wait_until(due);
                 due
             };
+            self.quick_acks(op.saturation);
             let backlog = self.sent - self.replies();
             let at = Instant::now();
             self.write(payload)?;
@@ -239,10 +269,10 @@ impl Conn {
     }
 }
 
-fn receive(stream: TcpStream, inbox: Shared) {
+fn receive(stream: TcpStream, inbox: Shared, quick_acks: Arc<AtomicBool>) {
     let mut reader = BufReader::new(stream);
     loop {
-        delay_acks(reader.get_ref());
+        set_ack_mode(reader.get_ref(), quick_acks.load(Ordering::SeqCst));
         let frame = protocol::read_frame(&mut reader);
         let at = Instant::now();
         let (lock, cvar) = &*inbox;

@@ -21,7 +21,19 @@ mod workload;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+use serde::Serialize;
+
 use crate::stats::{median, percentile};
+
+/// A run whose sender fell behind its schedule by more than the least room
+/// a gap leaves for work (after a hot read) no longer offers the planned
+/// load: it is invalid, not slow.
+pub const MAX_LATE_P95_MS: f64 = 15.0;
+/// Most open-loop sends that may find an earlier reply still outstanding.
+/// Such a send releases or delays a reply the daemon holds back, so beyond
+/// this share a p95 would rest on requests the schedule failed to isolate,
+/// and a backlog that keeps growing shows up here first.
+pub const MAX_BACKLOGGED_SHARE: f64 = 0.05;
 
 struct Args {
     workload: String,
@@ -57,13 +69,29 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
+/// One metric's value and unit.
+#[derive(Serialize)]
+struct Metric {
+    value: f64,
+    unit: &'static str,
+}
+
 /// The metrics of one run, by name, with units.
 #[derive(Default)]
-pub struct Metrics(BTreeMap<String, (f64, &'static str)>);
+pub struct Metrics(BTreeMap<String, Metric>);
+
+/// The result line.
+#[derive(Serialize)]
+struct Outcome {
+    correct: bool,
+    attempted: usize,
+    failed: usize,
+    metrics: BTreeMap<String, Metric>,
+}
 
 impl Metrics {
     pub fn put(&mut self, name: &str, value: f64, unit: &'static str) {
-        self.0.insert(name.to_string(), (value, unit));
+        self.0.insert(name.to_string(), Metric { value, unit });
     }
 
     /// Puts a percentile that must exist (enough samples); an absent one
@@ -85,20 +113,44 @@ impl Metrics {
         Ok(())
     }
 
-    /// The metrics as one JSON object; a value that is not a finite
-    /// number is an error, never printed.
-    fn json(&self) -> Result<String, String> {
-        let mut body = Vec::new();
-        for (name, (value, unit)) in &self.0 {
-            if !value.is_finite() {
-                return Err(format!("{name} is {value}"));
-            }
-            body.push(format!(
-                "\"{name}\": {{\"value\": {value:?}, \"unit\": \"{unit}\"}}"
-            ));
+    /// The metrics; a value that is not a finite number is an error,
+    /// never printed.
+    fn checked(self) -> Result<BTreeMap<String, Metric>, String> {
+        match self.0.iter().find(|(_, m)| !m.value.is_finite()) {
+            Some((name, m)) => Err(format!("{name} is {}", m.value)),
+            None => Ok(self.0),
         }
-        Ok(format!("{{{}}}", body.join(", ")))
     }
+}
+
+/// The share of open-loop sends that found an earlier reply outstanding.
+pub fn backlogged_share(run: &e2e::DaemonRun) -> f64 {
+    run.backlogged as f64 / run.late_ms.len().max(1) as f64
+}
+
+/// Refuses a run with failed operations, a late sender or a backlog.
+fn check_validity(run: &e2e::DaemonRun) -> Result<(), String> {
+    if run.failed > 0 {
+        return Err(format!(
+            "{} of {} operations failed or went missing; the run is invalid",
+            run.failed, run.attempted
+        ));
+    }
+    let late = percentile(&run.late_ms, 0.95).ok_or("too few sends to judge lateness")?;
+    if late > MAX_LATE_P95_MS {
+        return Err(format!(
+            "sends were {late:.1} ms late at p95 (limit {MAX_LATE_P95_MS} ms); the run is invalid"
+        ));
+    }
+    let share = backlogged_share(run);
+    if share > MAX_BACKLOGGED_SHARE {
+        return Err(format!(
+            "{:.1}% of sends found an earlier reply outstanding (limit {:.0}%); the run is invalid",
+            share * 100.0,
+            MAX_BACKLOGGED_SHARE * 100.0
+        ));
+    }
+    Ok(())
 }
 
 fn run(args: &Args) -> Result<(bool, usize, usize, Metrics), String> {
@@ -130,7 +182,7 @@ fn run(args: &Args) -> Result<(bool, usize, usize, Metrics), String> {
         plan.commits().count(),
     );
 
-    let run = e2e::run(&args.bin_dir, &work_dir, &w, &plan)?;
+    let mut run = e2e::run(&args.bin_dir, &work_dir, &w, &plan)?;
     for m in &run.mismatches {
         eprintln!("perfbench: oracle: {m}");
     }
@@ -140,28 +192,31 @@ fn run(args: &Args) -> Result<(bool, usize, usize, Metrics), String> {
         format!("{name} n={} p50={:.2} p90={:.2}", v.len(), p(0.5), p(0.9))
     };
     eprintln!(
-        "perfbench: {} | {} | {} | {} | setup {:?} | sat {:.1}/s | late {} | backlog {} | failed {}/{}",
+        "perfbench: {} | {} | {} | {} | {} | setup {:?} | sat {:.1}/s | late {} | backlog max {} share {:.3} | failed {}/{}",
         summary("commit", &run.commit_ms),
         summary("event", &run.event_ms),
         summary("read", &run.read_ms),
         summary("cold", &run.cold_read_ms),
+        summary("evict", &run.evict_ms),
         run.setup_s,
         run.commits_per_s,
         summary("", &run.late_ms),
         run.backlog_max,
+        backlogged_share(&run),
         run.failed,
         run.attempted,
     );
+    check_validity(&run)?;
     let mut metrics = Metrics::default();
     if args.trace {
         replay::daemon_layer_metrics(&run, &mut metrics)?;
         let spans = replay::replay(&w, &plan, &work_dir, &mut metrics)?;
-        replay::write_trace(&work_dir, &w, args.seed, &run, &spans)?;
+        let requests = std::mem::take(&mut run.request_spans);
+        replay::write_trace(&work_dir, &w, args.seed, requests, spans)?;
     } else {
         let setup = median(&run.setup_s).ok_or("no set-up samples")?;
         metrics.put("setup_s", setup, "s");
         metrics.put_pct("commit_p50_ms", &run.commit_ms, 0.50, "ms")?;
-        metrics.put_pct("commit_p95_ms", &run.commit_ms, 0.95, "ms")?;
         metrics.put("commits_per_s", run.commits_per_s, "1/s");
         metrics.put_pct("event_p50_ms", &run.event_ms, 0.50, "ms")?;
         metrics.put_pct("event_p95_ms", &run.event_ms, 0.95, "ms")?;
@@ -182,13 +237,20 @@ fn main() {
             std::process::exit(2);
         }
     };
-    match run(&args).and_then(|(correct, attempted, failed, metrics)| {
-        Ok((correct, attempted, failed, metrics.json()?))
-    }) {
-        Ok((correct, attempted, failed, metrics)) => {
-            println!(
-                "{{\"correct\": {correct}, \"attempted\": {attempted}, \"failed\": {failed}, \"metrics\": {metrics}}}"
-            );
+    let outcome = run(&args).and_then(|(correct, attempted, failed, metrics)| {
+        let outcome = Outcome {
+            correct,
+            attempted,
+            failed,
+            metrics: metrics.checked()?,
+        };
+        serde_json::to_string(&outcome)
+            .map(|line| (correct, line))
+            .map_err(|e| e.to_string())
+    });
+    match outcome {
+        Ok((correct, line)) => {
+            println!("{line}");
             if !correct {
                 std::process::exit(1);
             }

@@ -9,7 +9,6 @@
 //! commit's span.  A span's self time is its duration minus its children's.
 //! Spans stay in memory and are written out when the run ends.
 
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -30,8 +29,9 @@ use grape_partition::delta::{damage_frontier, QuotientTables};
 use grape_partition::fragment::Fragmentation;
 use grape_partition::metis_like::MetisLike;
 use grape_partition::strategy::PartitionStrategy;
+use serde::Serialize;
 
-use crate::e2e::DaemonRun;
+use crate::e2e::{DaemonRun, RequestSpan};
 use crate::stats::median;
 use crate::workload::{OpKind, Plan, Workload};
 use crate::Metrics;
@@ -44,7 +44,9 @@ const FAN_OUT: usize = 2;
 const CODEC_REPS: usize = 25;
 
 /// One timed call.
+#[derive(Serialize)]
 pub struct Span {
+    /// Index of the parent span in the same list.
     pub parent: Option<usize>,
     pub name: &'static str,
     /// Start, in ms after the replay began.
@@ -540,10 +542,18 @@ pub fn daemon_layer_metrics(run: &DaemonRun, metrics: &mut Metrics) -> Result<()
     metrics.put_pct("loadgen.late_p95_ms", &run.late_ms, 0.95, "ms")?;
     metrics.put("loadgen.backlog_max", run.backlog_max as f64, "count");
     metrics.put(
+        "loadgen.backlogged_share",
+        crate::backlogged_share(run),
+        "ratio",
+    );
+    metrics.put(
         "trace.commit_p50_ms",
         median(&run.commit_ms).unwrap_or(0.0),
         "ms",
     );
+    // Not an end-to-end metric: on a 2-CPU VM the hypervisor's steal
+    // bursts set it (see NOTES.md).
+    metrics.put_pct("trace.commit_p95_ms", &run.commit_ms, 0.95, "ms")?;
     metrics.put(
         "daemon.server_commit_p50_ms",
         median(&run.server_commit_ms).ok_or("no server commit samples")?,
@@ -624,46 +634,31 @@ pub fn daemon_layer_metrics(run: &DaemonRun, metrics: &mut Metrics) -> Result<()
     Ok(())
 }
 
-/// Writes the client commit spans and the replay spans as one JSON file.
+/// The trace file: the daemon run's request spans and the replay's spans.
+#[derive(Serialize)]
+struct Trace {
+    workload: &'static str,
+    seed: u64,
+    daemon_requests: Vec<RequestSpan>,
+    replay_spans: Vec<Span>,
+}
+
+/// Writes the client request spans and the replay spans as one JSON file.
 pub fn write_trace(
     work_dir: &Path,
     w: &Workload,
     seed: u64,
-    run: &DaemonRun,
-    spans: &[Span],
+    daemon_requests: Vec<RequestSpan>,
+    replay_spans: Vec<Span>,
 ) -> Result<PathBuf, String> {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"workload\": \"{}\", \"seed\": {seed}, \"daemon_requests\": [",
-        w.name
-    );
-    let opt = |v: Option<String>| v.unwrap_or_else(|| "null".to_string());
-    for (i, r) in run.request_spans.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        let _ = write!(
-            out,
-            "{sep}{{\"op\": \"{}\", \"query\": {}, \"version\": {}, \"due_s\": {:?}, \"sent_s\": {:?}, \"reply_s\": {:?}, \"last_event_s\": {}}}",
-            r.op,
-            opt(r.query.map(|q| q.to_string())),
-            opt(r.version.map(|v| v.to_string())),
-            r.due,
-            r.sent,
-            r.reply,
-            opt(r.last_event.map(|e| format!("{e:?}"))),
-        );
-    }
-    out.push_str("], \"replay_spans\": [");
-    for (i, s) in spans.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        let parent = s.parent.map_or("null".to_string(), |p| p.to_string());
-        let _ = write!(
-            out,
-            "{sep}{{\"id\": {i}, \"parent\": {parent}, \"name\": \"{}\", \"version\": {}, \"start_ms\": {:?}, \"dur_ms\": {:?}}}",
-            s.name, s.version, s.start_ms, s.dur_ms
-        );
-    }
-    out.push_str("]}\n");
+    let trace = Trace {
+        workload: w.name,
+        seed,
+        daemon_requests,
+        replay_spans,
+    };
+    let mut out = serde_json::to_string(&trace).map_err(|e| e.to_string())?;
+    out.push('\n');
     let path = work_dir.join(format!("trace-{}-{seed}.json", w.name));
     std::fs::write(&path, out).map_err(|e| format!("{}: {e}", path.display()))?;
     Ok(path)

@@ -19,17 +19,20 @@ use grape_partition::metis_like::MetisLike;
 use grape_partition::strategy::PartitionStrategy;
 
 /// Both workloads run against a `GRID × GRID` road grid: small enough that
-/// a spill-chain fold finishes inside a third of a tick.
-pub const GRID: usize = 24;
+/// a spill-chain fold finishes inside the gap after an eviction.
+pub const GRID: usize = 28;
 /// Standing SSSP queries; one CC query is registered after them.
 pub const SSSP_QUERIES: usize = 8;
-/// Offered load of the open-loop phase, in commits per second.  A tick's
-/// three requests are sent a third of a tick apart, and that gap must
-/// outlast the load socket's ~40 ms delayed-ACK period (see NOTES.md), so
-/// the rate is bounded by the daemon's per-reply stall, not by its engine.
-pub const RATE: f64 = 7.0;
+/// How long the daemon holds back a reply, or a commit's events, under
+/// Nagle's algorithm: until the load socket ACKs what came before.  The
+/// ACK comes when the socket's delayed-ACK timer fires (≈ 40 ms after the
+/// reply starts, rounded up here) or earlier, with the benchmark's next
+/// request.  Every gap after such a request outlasts its work plus this,
+/// so it is always the timer, and the latency follows the work rather than
+/// the send spacing (see NOTES.md).
+pub const ACK_DELAY: f64 = 0.045;
 /// Commits of the closed-loop saturation phase (two requests in flight).
-pub const SATURATION_COMMITS: usize = 80;
+pub const SATURATION_COMMITS: usize = 240;
 /// Edges per insertion batch: one, so that a run's commits grow the graph
 /// by at most [`MAX_GROWTH`].
 pub const INSERT_BATCH: usize = 1;
@@ -66,9 +69,20 @@ pub struct Workload {
     pub watched: usize,
 }
 
-/// Open-loop phase length: `seconds` at [`RATE`].
+/// Offered load of the open-loop phase in commits per second: one read
+/// tick and one eviction tick per two commits.
+pub fn rate() -> f64 {
+    let commit = gap_after(&OpKind::Commit(GraphDelta::new()));
+    let pair = 2.0 * commit
+        + 2.0 * gap_after(&OpKind::Read(0))
+        + gap_after(&OpKind::ColdRead(0))
+        + gap_after(&OpKind::Evict(0));
+    2.0 / pair
+}
+
+/// Open-loop phase length: the commits that fit in `seconds` at [`rate`].
 pub fn main_commits(seconds: f64) -> usize {
-    (RATE * seconds).round().max(1.0) as usize
+    ((rate() * seconds).floor() as usize).max(1)
 }
 
 /// The workload table; `perfbench/NOTES.md` says why each exists.
@@ -348,18 +362,24 @@ impl DeltaGen {
     }
 }
 
-/// When a tick's second and third requests are due, as shares of the tick
-/// (the commit is due at its start).  Ticks alternate: an eviction tick
-/// evicts the next query in rotation and then hot-reads another one; a read
-/// tick cold-reads the query just evicted and then hot-reads.  The eviction
-/// comes second so a spill-chain fold has a third of a tick to finish
-/// before the hot read.  A third of a tick between sends outlasts the load
-/// socket's delayed-ACK period plus the work, so a reply the daemon holds
-/// back under Nagle's algorithm is released by that timer, not early by
-/// the client's next request: every latency class keeps one mode from run
-/// to run.
-const SECOND: f64 = 1.0 / 3.0;
-const THIRD: f64 = 2.0 / 3.0;
+/// Ticks alternate.  A read tick is a commit, the cold read of the query
+/// the previous tick evicted, and a hot read; an eviction tick is a commit,
+/// a hot read, and the eviction of the next query in rotation.  The next
+/// request is due this long after one of `kind`: [`ACK_DELAY`] plus room
+/// for the request's work, about twice its p90 or more on a 2-CPU host (commit
+/// with its events ≈ 5–10 ms, hot read ≈ 3 ms, cold read ≈ 25–35 ms).  An
+/// eviction's reply is one small frame and never held, so its gap is room
+/// for a spill-chain fold alone (p90 ≈ 40–60 ms).  A reply that overran its
+/// gap would arrive after the next request went out, unacknowledged, and
+/// the daemon would then hold that request's reply a whole timer.
+fn gap_after(kind: &OpKind) -> f64 {
+    match kind {
+        OpKind::Commit(_) => ACK_DELAY + 0.030,
+        OpKind::Read(_) => ACK_DELAY + 0.015,
+        OpKind::ColdRead(_) => ACK_DELAY + 0.065,
+        OpKind::Evict(_) => 0.100,
+    }
+}
 
 /// Builds the run's inputs: `main_commits` open-loop commits at the
 /// workload's rate, then the saturation phase, each with its reads.
@@ -383,43 +403,32 @@ pub fn plan(w: &Workload, seed: u64, main_commits: usize) -> Plan {
     let (mut hot_next, mut cold_next) = (0, 0);
     let mut evicted: Option<usize> = None;
     let mut ops = Vec::new();
-    let mut tick = 0usize;
+    let mut due = 0.0;
     for (commits, saturation) in [(main_commits, false), (SATURATION_COMMITS, true)] {
         for i in 0..commits {
-            let at = |share: f64| {
-                if saturation {
-                    0.0
-                } else {
-                    (tick as f64 + share) / RATE
+            let mut tick = vec![OpKind::Commit(gen.next())];
+            let hot = OpKind::Read(hot_next);
+            hot_next = (hot_next + 1) % queries;
+            match evicted.take() {
+                Some(q) => tick.extend([OpKind::ColdRead(q), hot]),
+                None => {
+                    tick.push(hot);
+                    if i + 1 < commits {
+                        tick.push(OpKind::Evict(cold_next));
+                        evicted = Some(cold_next);
+                        cold_next = (cold_next + 1) % queries;
+                    }
                 }
-            };
-            let mut push = |kind: OpKind, due: f64| {
+            }
+            for kind in tick {
+                let gap = gap_after(&kind);
                 ops.push(Op {
                     kind,
-                    due,
+                    due: if saturation { 0.0 } else { due },
                     saturation,
-                })
-            };
-            push(OpKind::Commit(gen.next()), at(0.0));
-            let second = match evicted.take() {
-                Some(q) => Some(OpKind::ColdRead(q)),
-                None if i + 1 < commits => {
-                    let q = cold_next;
-                    cold_next = (cold_next + 1) % queries;
-                    evicted = Some(q);
-                    Some(OpKind::Evict(q))
-                }
-                None => None,
-            };
-            if let Some(kind) = second {
-                push(kind, at(SECOND));
+                });
+                due += gap;
             }
-            if evicted == Some(hot_next) {
-                hot_next = (hot_next + 1) % queries;
-            }
-            push(OpKind::Read(hot_next), at(THIRD));
-            hot_next = (hot_next + 1) % queries;
-            tick += 1;
         }
     }
     // Query q starts the run with q mod CHAIN_PHASES increments stacked.

@@ -718,7 +718,8 @@ pub struct ScalingRow {
     pub workload: String,
     /// Number of standing queries.
     pub k: usize,
-    /// Refresh fan-out width ([`grape_core::serve::GrapeServer::threads`]).
+    /// Refresh fan-out width
+    /// ([`grape_core::session::GrapeSessionBuilder::refresh_threads`]).
     pub threads: usize,
     /// Arrival pattern: `stream` (one `apply` per delta) or `batch`
     /// (pipelined `apply_batch` in chunks).
@@ -755,7 +756,6 @@ pub fn run_serving_scaling(
     use grape_core::serve::GrapeServer;
     use std::time::Instant;
 
-    let session = grape_session(1);
     let k = sources.len();
     let frag = partition(graph, fragments);
     const BATCH_CHUNK: usize = 4;
@@ -764,7 +764,12 @@ pub fn run_serving_scaling(
     let mut reference: Option<Vec<grape_algorithms::sssp::SsspResult>> = None;
     for &threads in thread_counts {
         for arrival in ["stream", "batch"] {
-            let mut server = GrapeServer::new(session.clone(), frag.clone()).threads(threads);
+            let session = GrapeSession::builder()
+                .workers(1)
+                .refresh_threads(threads)
+                .build()
+                .expect("a one-worker session is always valid");
+            let mut server = GrapeServer::new(session.clone(), frag.clone());
             let handles: Vec<_> = sources
                 .iter()
                 .map(|&src| {

@@ -70,7 +70,7 @@ pub struct EngineConfig {
     /// Failures to inject (testing / evaluation of the recovery path).
     /// Synchronous mode only.
     pub injected_failures: Vec<InjectedFailure>,
-    /// Default number of threads a [`crate::serve::GrapeServer`] uses to fan
+    /// Number of threads a [`crate::serve::GrapeServer`] uses to fan
     /// refreshes out over its resident queries (the per-query engines still
     /// use `num_workers` threads each).  `0` (the serde default for configs
     /// recorded before this knob existed) is treated as `1`.

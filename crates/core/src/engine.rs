@@ -21,22 +21,28 @@
 //!   and failure recovery.
 //! * **Streaming loop** ([`EngineMode::Async`]) — no global barrier:
 //!   fragments are independent tasks on their owning worker, draining their
-//!   mailboxes to quiescence.  The superstep metric then reports the depth
-//!   of an equivalent BSP schedule of the same deliveries — because fresher
-//!   values arrive without waiting for a barrier, this is no larger (and on
-//!   high-diameter workloads smaller) than the synchronous superstep count.
+//!   mailboxes to quiescence.  Evaluations carry logical rounds, gated so
+//!   that the superstep metric (highest round + 1) is never larger — and
+//!   on high-diameter workloads smaller — than the synchronous superstep
+//!   count, for any schedule (see `streaming_loop`).
 //!
 //! Both runtimes root a run through a per-fragment **PEval mask**
-//! (`RunCtx::peval`):
+//! (`RunCtx::peval`), derived from the run's `Start`:
 //!
-//! * a full run (`prepare_parts`) masks every fragment — the classic
+//! * a fresh run (`Start::Fresh`) masks every fragment — the classic
 //!   PEval-everywhere superstep 0;
-//! * an incremental refresh (`refresh_parts`) retains the partial results
+//! * an incremental refresh (`Start::Incremental`) retains the partial results
 //!   of an earlier run and pre-loads `ΔG`-derived seed messages: the mask
 //!   is **empty** for a monotone delta (the paper's "queries under
 //!   updates" protocol of Section 3.4 — `Q(G ⊕ ΔG)` from `Q(G)` without a
 //!   single PEval call) and equals the **damage frontier** for a bounded
 //!   non-monotone refresh (PEval re-roots only the stale fragments).
+//!
+//! One entry point, `run_parts`, does the shared set-up and makes one
+//! static choice: the `WorkerHost` from the [`TransportSpec`]
+//! (in-process, or `grape-worker` subprocesses for `Process`) and the
+//! substrate from the mode ([`BarrierTransport`] under `Sync`,
+//! [`ChannelTransport`] under `Async`).
 //!
 //! Physical workers are OS threads; fragments are virtual workers mapped
 //! onto physical workers by the [`crate::load_balance::LoadBalancer`].
@@ -56,11 +62,11 @@ use grape_partition::fragmentation_graph::{BorderScope, FragmentationGraph};
 
 use crate::config::{EngineConfig, EngineMode};
 use crate::host::{InProcessHost, ProcessHost, WorkerHost};
-use crate::load_balance::LoadBalancer;
 use crate::metrics::{EngineMetrics, SuperstepMetrics};
 use crate::pie::{KeyVertex, PieProgram};
+use crate::session::GrapeSession;
 use crate::transport::{
-    BarrierTransport, ChannelTransport, MessageOps, ProcessTransport, Transport, TransportSnapshot,
+    BarrierTransport, ChannelTransport, Drained, MessageOps, Transport, TransportSnapshot,
     TransportSpec,
 };
 
@@ -138,29 +144,16 @@ struct RunCtx<'r> {
     gp: &'r FragmentationGraph,
     scope: BorderScope,
     /// Which fragments run PEval in the rooting step: all of them for a
-    /// full run, the *damage frontier* for a bounded refresh, none for a
+    /// fresh run, the *damage frontier* for a bounded refresh, none for a
     /// monotone IncEval-only refresh.
     peval: &'r [bool],
 }
 
 /// Routes one evaluation's updates through `G_P` and ships them, batched per
-/// destination, tagged with the sender's logical step.
-fn route_and_send<K: KeyVertex + Clone, V: Clone, T: Transport<K, V> + ?Sized>(
-    transport: &T,
-    gp: &FragmentationGraph,
-    scope: BorderScope,
-    from: usize,
-    step: usize,
-    updates: Vec<(K, V)>,
-) {
-    route_and_send_to(transport, gp, scope, from, step, updates, None);
-}
-
-/// [`route_and_send`] with an optional destination filter: `Some(mask)`
-/// drops every destination whose mask entry is `false` (used by the bounded
+/// destination, tagged with the sender's logical step.  `Some(mask)` drops
+/// every destination whose mask entry is `false` (used by the bounded
 /// refresh to deliver reseeded border values to damaged fragments only).
-#[allow(clippy::too_many_arguments)]
-fn route_and_send_to<K: KeyVertex + Clone, V: Clone, T: Transport<K, V> + ?Sized>(
+fn route_and_send<K: KeyVertex + Clone, V: Clone, T: Transport<K, V>>(
     transport: &T,
     gp: &FragmentationGraph,
     scope: BorderScope,
@@ -189,191 +182,36 @@ fn route_and_send_to<K: KeyVertex + Clone, V: Clone, T: Transport<K, V> + ?Sized
     }
 }
 
-/// Which evaluation roots a run: a fresh PEval pass, or retained partials
-/// plus pre-seeded mailboxes (IncEval only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// PEval roots every fragment in superstep 0, then IncEval to fixpoint.
-    Full,
-    /// Partials are retained from an earlier run and the transport has been
-    /// pre-seeded with `ΔG`-derived messages.  `RunCtx::peval` selects the
-    /// fragments PEval re-roots in superstep 0 (none for a monotone
-    /// IncEval-only refresh, the damage frontier for a bounded refresh);
-    /// everything else continues from its retained partial.
-    Incremental,
-}
-
 /// Validates a (mode, transport, fault-tolerance) policy combination.
 ///
-/// Called by [`crate::session::GrapeSessionBuilder::build`] (fail fast) and
-/// again by the engine entry points, so configurations replayed through
+/// Each mode has exactly one in-process transport
+/// ([`TransportSpec::default_for`]); `Process` places evaluations in
+/// subprocesses under either mode.  Called by
+/// [`crate::session::GrapeSessionBuilder::build`] (fail fast) and again by
+/// the engine entry point, so configurations replayed through
 /// [`crate::session::GrapeSessionBuilder::config`] get the same checks.
 pub(crate) fn validate_policies(
     config: &EngineConfig,
     spec: TransportSpec,
 ) -> Result<(), EngineError> {
-    if config.mode == EngineMode::Async {
-        if !spec.streaming_capable() {
-            return Err(EngineError::InvalidConfig(
-                "EngineMode::Async needs a streaming transport; \
-                 use TransportSpec::Channel or TransportSpec::Process"
-                    .to_string(),
-            ));
-        }
-        if config.checkpoint_every.is_some() || !config.injected_failures.is_empty() {
-            return Err(EngineError::InvalidConfig(
-                "checkpointing and failure injection are superstep-aligned; \
-                 use EngineMode::Sync"
-                    .to_string(),
-            ));
-        }
-    }
-    // Checkpoints need a snapshot-capable transport; a streaming transport
-    // would silently degrade recovery to restart-from-scratch.  Each spec
-    // declares its own capability — no `if spec ==` chain to grow.
-    if config.checkpoint_every.is_some() && !spec.supports_checkpoints() {
+    let natural = TransportSpec::default_for(config.mode);
+    if spec != natural && !matches!(spec, TransportSpec::Process { .. }) {
         return Err(EngineError::InvalidConfig(format!(
-            "checkpointing needs a snapshot-capable transport and \
-             TransportSpec::{} cannot snapshot; use TransportSpec::Barrier \
-             or TransportSpec::Process",
-            spec.name()
+            "EngineMode::{:?} moves messages over TransportSpec::{:?}, not {:?}; \
+             use TransportSpec::{:?} or TransportSpec::Process",
+            config.mode, natural, spec, natural
         )));
     }
-    Ok(())
-}
-
-/// Runs a PIE program to its fixpoint and assembles the answer.  This is the
-/// one-shot entry point behind [`crate::session::GrapeSession::run`] — a
-/// full preparation whose partial results are assembled and then dropped.
-pub(crate) fn execute<P: PieProgram>(
-    config: &EngineConfig,
-    balancer: &LoadBalancer,
-    spec: TransportSpec,
-    fragmentation: &Fragmentation,
-    program: &P,
-    query: &P::Query,
-) -> Result<RunResult<P::Output>, EngineError> {
-    let total_start = Instant::now();
-    let (partials, mut metrics) =
-        prepare_parts(config, balancer, spec, fragmentation, program, query)?;
-    let output = program.assemble(query, partials);
-    metrics.total_time = total_start.elapsed();
-    Ok(RunResult { output, metrics })
-}
-
-/// The *prepare* phase: runs PEval on every fragment and iterates IncEval to
-/// the fixpoint, returning the per-fragment partial results `Q(F_i)` without
-/// assembling them.  [`crate::prepared::PreparedQuery`] retains these
-/// partials so later [`refresh_parts`] calls can skip PEval entirely.
-pub(crate) fn prepare_parts<P: PieProgram>(
-    config: &EngineConfig,
-    balancer: &LoadBalancer,
-    spec: TransportSpec,
-    fragmentation: &Fragmentation,
-    program: &P,
-    query: &P::Query,
-) -> Result<(Vec<P::Partial>, EngineMetrics), EngineError> {
-    let m = fragmentation.num_fragments();
-    if m == 0 {
-        return Err(EngineError::NoFragments);
+    if config.mode == EngineMode::Async
+        && (config.checkpoint_every.is_some() || !config.injected_failures.is_empty())
+    {
+        return Err(EngineError::InvalidConfig(
+            "checkpointing and failure injection are superstep-aligned; \
+             use EngineMode::Sync"
+                .to_string(),
+        ));
     }
-    validate_policies(config, spec)?;
-
-    let total_start = Instant::now();
-    let mut metrics = EngineMetrics {
-        program: program.name().to_string(),
-        workers: config.num_workers,
-        fragments: m,
-        transport: spec.name().to_string(),
-        ..Default::default()
-    };
-
-    // Optional d-hop fragment expansion (SubIso).  The shipped
-    // vertices/edges are counted as communication, mirroring the paper's
-    // "message M_i … including all nodes and edges in C_i.x̄ from other
-    // fragments".
-    let hops = program.expansion_hops(query);
-    let fragments: Vec<Arc<Fragment>> = if hops > 0 {
-        let mut expanded = Vec::with_capacity(m);
-        for i in 0..m {
-            let (f, shipped_vertices, shipped_edges) = fragmentation.expand_fragment(i, hops);
-            metrics.add_expansion(shipped_vertices * 24 + shipped_edges * 24);
-            expanded.push(Arc::new(f));
-        }
-        expanded
-    } else {
-        fragmentation.fragments().to_vec()
-    };
-
-    // Map virtual workers (fragments) onto physical workers.
-    let assignment = balancer.assign(fragmentation, config.num_workers);
-
-    let aggregate = |k: &P::Key, a: P::Value, b: P::Value| program.aggregate(k, a, b);
-    let key_size = |k: &P::Key| program.key_size(k);
-    let value_size = |v: &P::Value| program.value_size(v);
-    let ops = MessageOps {
-        aggregate: &aggregate,
-        key_size: &key_size,
-        value_size: &value_size,
-    };
-    let peval = vec![true; m];
-    let ctx = RunCtx {
-        config,
-        num_fragments: m,
-        assignment: &assignment,
-        gp: fragmentation.gp(),
-        scope: program.scope(),
-        peval: &peval,
-    };
-
-    let empty: Vec<Option<P::Partial>> = (0..m).map(|_| None).collect();
-    let partials = match (config.mode, spec) {
-        (EngineMode::Sync, TransportSpec::Barrier) => {
-            let host = InProcessHost::new(program, query, &fragments, &aggregate, empty);
-            superstep_loop(&ctx, &host, &BarrierTransport::new(m, ops), &mut metrics)?;
-            host.into_partials()?
-        }
-        (EngineMode::Sync, TransportSpec::Channel) => {
-            let host = InProcessHost::new(program, query, &fragments, &aggregate, empty);
-            superstep_loop(&ctx, &host, &ChannelTransport::new(m, ops), &mut metrics)?;
-            host.into_partials()?
-        }
-        (EngineMode::Async, TransportSpec::Barrier) => {
-            unreachable!("validate_policies rejects Async over a barrier transport")
-        }
-        (EngineMode::Async, TransportSpec::Channel) => {
-            let host = InProcessHost::new(program, query, &fragments, &aggregate, empty);
-            streaming_loop(
-                &ctx,
-                &host,
-                &ChannelTransport::new(m, ops),
-                &mut metrics,
-                Phase::Full,
-            )?;
-            host.into_partials()?
-        }
-        (mode, TransportSpec::Process { workers }) => {
-            let host = ProcessHost::spawn(program, query, &fragments, None, workers)?;
-            let pipe = host.pipe_counter();
-            let run = match mode {
-                EngineMode::Sync => {
-                    superstep_loop(&ctx, &host, &ProcessTransport::new(m, ops), &mut metrics)
-                }
-                EngineMode::Async => streaming_loop(
-                    &ctx,
-                    &host,
-                    &ProcessTransport::streaming(m, ops),
-                    &mut metrics,
-                    Phase::Full,
-                ),
-            };
-            let partials = run.and_then(|()| host.into_partials());
-            metrics.pipe_bytes = pipe.load(Ordering::Relaxed);
-            partials?
-        }
-    };
-    metrics.total_time = total_start.elapsed();
-    Ok((partials, metrics))
+    Ok(())
 }
 
 /// One fragment's seed batch: the sender fragment and the changed update
@@ -383,80 +221,91 @@ pub(crate) type SeedBatch<P> = (
     Vec<(<P as PieProgram>::Key, <P as PieProgram>::Value)>,
 );
 
-/// What an incremental refresh starts from: the previous fixpoint's
-/// per-fragment partials plus the `ΔG`-derived seed messages — a list of
-/// `(sender fragment, changed update parameters)` that the engine routes
-/// exactly like a normal evaluation's sends.
-pub(crate) struct RefreshState<P: PieProgram> {
-    /// Retained partial results, one per fragment.  The entries of damaged
-    /// fragments (`repeval`) are placeholders: PEval overwrites them in the
-    /// rooting step before anything reads them.
-    pub partials: Vec<P::Partial>,
-    /// Seed messages: the rebase step's changed update parameters (monotone
-    /// refresh) or the undamaged neighbours' reseeded border segments
-    /// (bounded refresh).
-    pub seeds: Vec<SeedBatch<P>>,
-    /// The damage frontier of a **bounded** refresh: fragments whose
-    /// retained partials may be stale and are re-rooted with PEval in
-    /// superstep 0.  Empty for the monotone IncEval-only refresh.  When
-    /// non-empty, seed messages are delivered to damaged fragments only.
-    pub repeval: Vec<usize>,
+/// What a run starts from.
+pub(crate) enum Start<P: PieProgram> {
+    /// PEval roots every fragment in superstep 0: no partials, no seeds.
+    Fresh,
+    /// An incremental refresh: the previous fixpoint's partials plus the
+    /// `ΔG`-derived seed messages, which the engine routes exactly like a
+    /// normal evaluation's sends.  `peval_calls == |repeval|` by
+    /// construction — **0** on the monotone path.
+    Incremental {
+        /// Retained partial results, one per fragment.  The entries of
+        /// damaged fragments (`repeval`) are placeholders: PEval overwrites
+        /// them in the rooting step before anything reads them.
+        partials: Vec<P::Partial>,
+        /// Seed messages: the rebase step's changed update parameters
+        /// (monotone refresh) or the undamaged neighbours' reseeded border
+        /// segments (bounded refresh).
+        seeds: Vec<SeedBatch<P>>,
+        /// The damage frontier of a **bounded** refresh: fragments whose
+        /// retained partials may be stale and are re-rooted with PEval in
+        /// superstep 0.  Empty for the monotone IncEval-only refresh.  When
+        /// non-empty, seed messages are delivered to damaged fragments only.
+        repeval: Vec<usize>,
+    },
 }
 
-/// The *refresh* phase of a prepared query: given the retained state,
-/// routes the seeds through `G_P`, re-roots the damage frontier with PEval
-/// (none for a monotone delta), then iterates IncEval to the new fixpoint.
-/// `EngineMetrics::peval_calls` equals `|repeval|` by construction — **0**
-/// on the monotone path, pinned by the equivalence suites.
-pub(crate) fn refresh_parts<P: PieProgram>(
-    config: &EngineConfig,
-    balancer: &LoadBalancer,
-    spec: TransportSpec,
+/// The engine's one entry point: runs `program` from `start` to the
+/// fixpoint and returns the per-fragment partial results `Q(F_i)`,
+/// unassembled.  [`crate::session::GrapeSession::run`] assembles and drops
+/// them; [`crate::prepared::PreparedQuery`] retains them so later
+/// [`Start::Incremental`] runs can skip PEval.
+pub(crate) fn run_parts<P: PieProgram>(
+    session: &GrapeSession,
     fragmentation: &Fragmentation,
     program: &P,
     query: &P::Query,
-    state: RefreshState<P>,
+    start: Start<P>,
 ) -> Result<(Vec<P::Partial>, EngineMetrics), EngineError> {
-    let RefreshState {
-        partials,
-        seeds,
-        repeval,
-    } = state;
+    let config = session.config();
+    let spec = session.transport();
     let m = fragmentation.num_fragments();
     if m == 0 {
         return Err(EngineError::NoFragments);
     }
     validate_policies(config, spec)?;
-    if !config.injected_failures.is_empty() {
-        return Err(EngineError::InvalidConfig(
-            "failure injection is superstep-aligned to a PEval-rooted run; \
-             it is not supported on the incremental refresh path"
-                .to_string(),
-        ));
-    }
-    if partials.len() != m {
-        return Err(EngineError::InvalidConfig(format!(
-            "retained {} partials for {} fragments",
-            partials.len(),
-            m
-        )));
-    }
-    let mut peval = vec![false; m];
-    for &i in &repeval {
-        if i >= m {
-            return Err(EngineError::InvalidConfig(format!(
-                "damage frontier names fragment {i} of {m}"
-            )));
+    let hops = program.expansion_hops(query);
+    let (retained, seeds, peval) = match start {
+        Start::Fresh => (None, Vec::new(), vec![true; m]),
+        Start::Incremental {
+            partials,
+            seeds,
+            repeval,
+        } => {
+            if !config.injected_failures.is_empty() {
+                return Err(EngineError::InvalidConfig(
+                    "failure injection is superstep-aligned to a PEval-rooted run; \
+                     it is not supported on the incremental refresh path"
+                        .to_string(),
+                ));
+            }
+            if partials.len() != m {
+                return Err(EngineError::InvalidConfig(format!(
+                    "retained {} partials for {} fragments",
+                    partials.len(),
+                    m
+                )));
+            }
+            let mut peval = vec![false; m];
+            for &i in &repeval {
+                if i >= m {
+                    return Err(EngineError::InvalidConfig(format!(
+                        "damage frontier names fragment {i} of {m}"
+                    )));
+                }
+                peval[i] = true;
+            }
+            if hops > 0 && repeval.is_empty() && !seeds.is_empty() {
+                return Err(EngineError::InvalidConfig(
+                    "d-hop expansion programs cannot refresh from seed messages alone; \
+                     use the bounded refresh (damage frontier) or re-prepare"
+                        .to_string(),
+                ));
+            }
+            (Some(partials), seeds, peval)
         }
-        peval[i] = true;
-    }
-    if program.expansion_hops(query) > 0 && repeval.is_empty() && !seeds.is_empty() {
-        return Err(EngineError::InvalidConfig(
-            "d-hop expansion programs cannot refresh from seed messages alone; \
-             use the bounded refresh (damage frontier) or re-prepare"
-                .to_string(),
-        ));
-    }
+    };
 
     let total_start = Instant::now();
     let mut metrics = EngineMetrics {
@@ -464,32 +313,29 @@ pub(crate) fn refresh_parts<P: PieProgram>(
         workers: config.num_workers,
         fragments: m,
         transport: spec.name().to_string(),
-        incremental: true,
+        incremental: retained.is_some(),
         ..Default::default()
     };
 
-    // `d`-hop expansion (SubIso): only the damaged fragments are re-rooted,
-    // so only they need their expanded incarnation — the bounded refresh
-    // ships `|damaged|` neighborhoods instead of all `m`.
-    let hops = program.expansion_hops(query);
-    let fragments: Vec<Arc<Fragment>> = if hops > 0 {
-        (0..m)
-            .map(|i| {
-                if peval[i] {
-                    let (f, shipped_vertices, shipped_edges) =
-                        fragmentation.expand_fragment(i, hops);
-                    metrics.add_expansion(shipped_vertices * 24 + shipped_edges * 24);
-                    Arc::new(f)
-                } else {
-                    fragmentation.fragments()[i].clone()
-                }
-            })
-            .collect()
-    } else {
-        fragmentation.fragments().to_vec()
-    };
+    // Optional d-hop fragment expansion (SubIso), for the fragments PEval
+    // roots — all of them in a fresh run, `|damaged|` neighbourhoods in a
+    // bounded refresh.  The shipped vertices/edges are counted as
+    // communication, mirroring the paper's "message M_i … including all
+    // nodes and edges in C_i.x̄ from other fragments".
+    let fragments: Vec<Arc<Fragment>> = (0..m)
+        .map(|i| {
+            if hops > 0 && peval[i] {
+                let (f, shipped_vertices, shipped_edges) = fragmentation.expand_fragment(i, hops);
+                metrics.add_expansion(shipped_vertices * 24 + shipped_edges * 24);
+                Arc::new(f)
+            } else {
+                fragmentation.fragments()[i].clone()
+            }
+        })
+        .collect();
 
-    let assignment = balancer.assign(fragmentation, config.num_workers);
+    // Map virtual workers (fragments) onto physical workers.
+    let assignment = session.balancer().assign(fragmentation, config.num_workers);
     let aggregate = |k: &P::Key, a: P::Value, b: P::Value| program.aggregate(k, a, b);
     let key_size = |k: &P::Key| program.key_size(k);
     let value_size = |v: &P::Value| program.value_size(v);
@@ -507,121 +353,69 @@ pub(crate) fn refresh_parts<P: PieProgram>(
         peval: &peval,
     };
 
-    // Seeds are routed at logical step 0 and published before the loop
-    // starts, so the first IncEval round sees them like any other mail; the
-    // published volume is accounted as `seed_messages` (separate from the
-    // per-superstep flow, included in the run totals).  During a bounded
-    // refresh, only the damaged fragments start from a fresh PEval with no
-    // memory of their neighbours' values — everyone else already holds them
-    // — so seed delivery is restricted to the damage frontier.
-    fn seed<K: KeyVertex + Clone, V: Clone, T: Transport<K, V>>(
-        transport: &T,
-        gp: &FragmentationGraph,
-        scope: BorderScope,
-        seeds: Vec<(usize, Vec<(K, V)>)>,
-        restrict_to: Option<&[bool]>,
-        metrics: &mut EngineMetrics,
-    ) {
-        for (from, updates) in seeds {
-            route_and_send_to(transport, gp, scope, from, 0, updates, restrict_to);
-        }
-        transport.flush();
-        let s = transport.stats();
-        metrics.seed_messages = s.messages;
-        metrics.total_messages += s.messages;
-        metrics.total_bytes += s.bytes;
-    }
-    let restrict_to = if repeval.is_empty() {
-        None
-    } else {
-        Some(peval.as_slice())
+    // The one host × substrate choice: where evaluations run comes from
+    // the spec, how messages move from the mode.
+    let pipe_bytes = AtomicUsize::new(0);
+    let in_process =
+        |retained| InProcessHost::new(program, query, &fragments, &aggregate, retained);
+    let spawn = |workers, retained: Option<Vec<P::Partial>>| {
+        ProcessHost::spawn(
+            program,
+            query,
+            &fragments,
+            retained.as_deref(),
+            workers,
+            &pipe_bytes,
+        )
     };
-
-    let partials = match (config.mode, spec) {
-        (EngineMode::Sync, TransportSpec::Barrier) => {
-            let retained = partials.into_iter().map(Some).collect();
-            let host = InProcessHost::new(program, query, &fragments, &aggregate, retained);
-            let transport = BarrierTransport::new(m, ops);
-            seed(
-                &transport,
-                ctx.gp,
-                ctx.scope,
-                seeds,
-                restrict_to,
-                &mut metrics,
-            );
-            superstep_loop(&ctx, &host, &transport, &mut metrics)?;
-            host.into_partials()?
+    let barrier = || BarrierTransport::new(m, ops);
+    let channel = || ChannelTransport::new(m, ops);
+    let partials = match (spec, config.mode) {
+        (TransportSpec::Process { workers }, EngineMode::Sync) => {
+            spawn(workers, retained).and_then(|h| drive(&ctx, h, barrier(), seeds, &mut metrics))
         }
-        (EngineMode::Sync, TransportSpec::Channel) => {
-            let retained = partials.into_iter().map(Some).collect();
-            let host = InProcessHost::new(program, query, &fragments, &aggregate, retained);
-            let transport = ChannelTransport::new(m, ops);
-            seed(
-                &transport,
-                ctx.gp,
-                ctx.scope,
-                seeds,
-                restrict_to,
-                &mut metrics,
-            );
-            superstep_loop(&ctx, &host, &transport, &mut metrics)?;
-            host.into_partials()?
+        (TransportSpec::Process { workers }, EngineMode::Async) => {
+            spawn(workers, retained).and_then(|h| drive(&ctx, h, channel(), seeds, &mut metrics))
         }
-        (EngineMode::Async, TransportSpec::Barrier) => {
-            unreachable!("validate_policies rejects Async over a barrier transport")
-        }
-        (EngineMode::Async, TransportSpec::Channel) => {
-            let retained = partials.into_iter().map(Some).collect();
-            let host = InProcessHost::new(program, query, &fragments, &aggregate, retained);
-            let transport = ChannelTransport::new(m, ops);
-            seed(
-                &transport,
-                ctx.gp,
-                ctx.scope,
-                seeds,
-                restrict_to,
-                &mut metrics,
-            );
-            streaming_loop(&ctx, &host, &transport, &mut metrics, Phase::Incremental)?;
-            host.into_partials()?
-        }
-        (mode, TransportSpec::Process { workers }) => {
-            let host = ProcessHost::spawn(program, query, &fragments, Some(&partials), workers)?;
-            let pipe = host.pipe_counter();
-            let run = match mode {
-                EngineMode::Sync => {
-                    let transport = ProcessTransport::new(m, ops);
-                    seed(
-                        &transport,
-                        ctx.gp,
-                        ctx.scope,
-                        seeds,
-                        restrict_to,
-                        &mut metrics,
-                    );
-                    superstep_loop(&ctx, &host, &transport, &mut metrics)
-                }
-                EngineMode::Async => {
-                    let transport = ProcessTransport::streaming(m, ops);
-                    seed(
-                        &transport,
-                        ctx.gp,
-                        ctx.scope,
-                        seeds,
-                        restrict_to,
-                        &mut metrics,
-                    );
-                    streaming_loop(&ctx, &host, &transport, &mut metrics, Phase::Incremental)
-                }
-            };
-            let collected = run.and_then(|()| host.into_partials());
-            metrics.pipe_bytes = pipe.load(Ordering::Relaxed);
-            collected?
-        }
-    };
+        (_, EngineMode::Sync) => drive(&ctx, in_process(retained), barrier(), seeds, &mut metrics),
+        (_, EngineMode::Async) => drive(&ctx, in_process(retained), channel(), seeds, &mut metrics),
+    }?;
+    metrics.pipe_bytes = pipe_bytes.into_inner();
     metrics.total_time = total_start.elapsed();
     Ok((partials, metrics))
+}
+
+/// Runs one (host, substrate) pair: publishes the seeds, iterates the
+/// mode's runtime to the fixpoint, and collects the partials.
+///
+/// Seeds are routed at logical step 0 and published before the loop
+/// starts, so the first IncEval round sees them like any other mail; the
+/// published volume is accounted as `seed_messages` (separate from the
+/// per-superstep flow, included in the run totals).  During a bounded
+/// refresh, only the damaged fragments start from a fresh PEval with no
+/// memory of their neighbours' values — everyone else already holds them —
+/// so seed delivery is restricted to the damage frontier.
+fn drive<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value>>(
+    ctx: &RunCtx<'_>,
+    host: H,
+    transport: T,
+    seeds: Vec<SeedBatch<P>>,
+    metrics: &mut EngineMetrics,
+) -> Result<Vec<P::Partial>, EngineError> {
+    let restrict_to = ctx.peval.contains(&true).then_some(ctx.peval);
+    for (from, updates) in seeds {
+        route_and_send(&transport, ctx.gp, ctx.scope, from, 0, updates, restrict_to);
+    }
+    transport.flush();
+    let seeded = transport.stats();
+    metrics.seed_messages = seeded.messages;
+    metrics.total_messages += seeded.messages;
+    metrics.total_bytes += seeded.bytes;
+    match ctx.config.mode {
+        EngineMode::Sync => superstep_loop(ctx, &host, &transport, metrics)?,
+        EngineMode::Async => streaming_loop(ctx, &host, &transport, metrics)?,
+    }
+    host.into_partials()
 }
 
 /// The BSP runtime: supersteps separated by a global barrier at which the
@@ -737,9 +531,9 @@ fn superstep_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
                             })
                         };
                         match evaluated {
-                            Ok(updates) => {
-                                route_and_send(transport, ctx.gp, ctx.scope, fi, superstep, updates)
-                            }
+                            Ok(updates) => route_and_send(
+                                transport, ctx.gp, ctx.scope, fi, superstep, updates, None,
+                            ),
                             Err(e) => {
                                 let mut slot = first_error_ref.lock();
                                 if slot.is_none() {
@@ -795,42 +589,73 @@ fn superstep_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
 struct EvalRecord {
     /// The fragment that was evaluated.
     fragment: usize,
-    /// The evaluation's assigned logical round: 0 for PEval; for IncEval,
-    /// the superstep an equivalent BSP schedule would have run it in (see
-    /// the round assignment in [`streaming_loop`]).
+    /// The evaluation's logical round (see [`streaming_loop`]).
     step: usize,
     consumed_messages: usize,
     consumed_bytes: usize,
     duration: Duration,
 }
 
+/// A fragment's round marker when it has no evaluation committed.
+const IDLE: usize = usize::MAX;
+
 /// The barrier-free runtime ([`EngineMode::Async`]): every physical worker
 /// owns its assigned fragments and keeps draining their mailboxes until the
 /// whole computation is quiescent — no superstep barrier, no coordinator
 /// round-trips.  Messages produced by any fragment are visible to their
 /// destinations immediately.
+///
+/// **Rounds.**  Every evaluation has a logical round: 0 for PEval, and for
+/// IncEval `max(previous round + 1, newest tag consumed)`, where a fragment
+/// continuing from a retained partial has no previous round and starts at
+/// 0.  So a fragment evaluates at most once per round and may consume mail
+/// sent earlier in the same round.
+/// Messages carry their sender's round.  A fragment evaluates round `r`
+/// only once no other fragment can still send mail of a round below `r`
+/// (the *gate*): every other fragment is idle or committed to round `r` or
+/// later.  Fragments in the lowest committed round run at once; only a
+/// fragment that is ahead waits.
+///
+/// **The superstep metric** is the highest round + 1, and it never exceeds
+/// the BSP superstep count, for any schedule.  By induction over `r`, the
+/// gate makes every partial after round `r` absorb at least the messages
+/// the BSP loop delivers by superstep `r` (PIE programs are monotone, so
+/// the extra, fresher mail only moves a partial closer to the fixpoint).
+/// At the BSP run's last superstep every partial is therefore final: no
+/// border value changes afterwards, and the last round's messages only
+/// repeat values their destinations already aggregated, which the channel
+/// transport drops.  So no evaluation happens past that round.
 fn streaming_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value>>(
     ctx: &RunCtx<'_>,
     host: &H,
     transport: &T,
     metrics: &mut EngineMetrics,
-    phase: Phase,
 ) -> Result<(), EngineError> {
+    let m = ctx.num_fragments;
     let peval_count = AtomicUsize::new(0);
     let inceval_count = AtomicUsize::new(0);
+    // `committed[f]`: the round fragment `f` is committed to (its pending
+    // PEval, or a drained mailbox awaiting or under evaluation), IDLE
+    // otherwise.  `floor[f]`: the lowest round its next IncEval may take.
+    let committed: Vec<AtomicUsize> = ctx
+        .peval
+        .iter()
+        .map(|&p| AtomicUsize::new(if p { 0 } else { IDLE }))
+        .collect();
+    let floor: Vec<AtomicUsize> = ctx
+        .peval
+        .iter()
+        .map(|&p| AtomicUsize::new(usize::from(p)))
+        .collect();
     // Quiescence: the run is over when every PEval finished, no mailbox has
-    // pending mail, and no worker is mid-evaluation (a worker is "busy"
-    // from before it drains until after it ships its results, so mail can
-    // never be in flight while all three conditions hold *at one instant*).
-    // The three counters cannot be read in one instant, so exits are
-    // seqlock-style: `activity` is bumped immediately *before* every busy
-    // transition, and an exit is valid only if it did not move across the
-    // whole observation — then no busy transition completed inside the
-    // window, `busy` was constant 0 throughout, no send was in flight, and
-    // the observed zeros really did overlap.
-    // Only the mask-selected fragments have a PEval to wait for (all in the
-    // full phase, the damage frontier in a bounded refresh, none in a
-    // monotone refresh).
+    // pending mail, and no worker holds or evaluates a drained mailbox (a
+    // fragment is "busy" from before it drains until after it ships its
+    // results, so mail can never be in flight while all three conditions
+    // hold *at one instant*).  The counters cannot be read in one instant,
+    // so exits — and gate checks — are seqlock-style: `activity` is bumped
+    // immediately *before* every busy transition, commitment and send, and
+    // an observation is valid only if it did not move across the whole
+    // read, so the observed values really did overlap.
     let unstarted = AtomicUsize::new(ctx.peval.iter().filter(|&&p| p).count());
     let busy = AtomicUsize::new(0);
     let activity = AtomicUsize::new(0);
@@ -842,186 +667,187 @@ fn streaming_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
     let abort = AtomicBool::new(false);
     let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
     let records: Mutex<Vec<EvalRecord>> = Mutex::new(Vec::new());
+    let fail = |e: EngineError| {
+        let mut slot = first_error.lock();
+        if slot.is_none() {
+            *slot = Some(e);
+        }
+        abort.store(true, Ordering::SeqCst);
+    };
+    // The gate of round `round` for fragment `me`: every other fragment is
+    // idle or committed to `round` or later.  A mailbox with mail that its
+    // owner has not drained yet counts at its floor, a lower bound of the
+    // round it will take.
+    let gate_open = |me: usize, round: usize| {
+        let seen = activity.load(Ordering::SeqCst);
+        for k in (0..m).filter(|&k| k != me) {
+            let bound = match committed[k].load(Ordering::SeqCst) {
+                IDLE if transport.has_pending(k) => floor[k].load(Ordering::SeqCst),
+                IDLE => continue,
+                r => r,
+            };
+            if bound < round {
+                return false;
+            }
+        }
+        activity.load(Ordering::SeqCst) == seen
+    };
 
-    {
-        let abort_ref = &abort;
-        let first_error_ref = &first_error;
-        let unstarted_ref = &unstarted;
-        let busy_ref = &busy;
-        let activity_ref = &activity;
-        let diverged_ref = &diverged;
-        let records_ref = &records;
-        let peval_count_ref = &peval_count;
-        let inceval_count_ref = &inceval_count;
-        std::thread::scope(|s| {
-            for worker_fragments in ctx.assignment {
-                let worker_fragments = worker_fragments.clone();
-                s.spawn(move || {
-                    let mut local: Vec<EvalRecord> = Vec::new();
-                    // Per-fragment evaluation counters (this worker is the
-                    // only one evaluating its fragments, so plain local
-                    // counters suffice).  Each evaluation is also assigned a
-                    // *logical round* — the superstep an equivalent BSP
-                    // schedule would have run it in.  Two things bound that
-                    // round from above: the fragment's own evaluation index
-                    // (BSP evaluates a fragment at most once per round) and
-                    // one past the newest information consumed (a message's
-                    // sender round, carried as the transport step tag; BSP
-                    // delivers a round-`r` message in round `r + 1`).  The
-                    // assigned round is the min of the two, which keeps the
-                    // metric stable against both piecemeal message arrival
-                    // (which inflates evaluation counts) and chains of
-                    // interim values (which inflate message depth).
-                    let mut evals: HashMap<usize, usize> = HashMap::new();
-                    // PEval for the mask-selected fragments this worker owns
-                    // (all of its fragments in the full phase, the damaged
-                    // ones in a bounded refresh, none in a monotone refresh
-                    // — which starts straight from the retained partials and
-                    // the pre-seeded mailboxes).  No global barrier
-                    // afterwards: mail addressed to a fragment whose PEval
-                    // has not run yet simply waits in its mailbox.
-                    for &fi in &worker_fragments {
-                        if !ctx.peval[fi] {
+    std::thread::scope(|s| {
+        for worker_fragments in ctx.assignment {
+            let (committed, floor, fail, gate_open) = (&committed, &floor, &fail, &gate_open);
+            let (unstarted, busy, activity) = (&unstarted, &busy, &activity);
+            let (abort, diverged, records) = (&abort, &diverged, &records);
+            let (peval_count, inceval_count) = (&peval_count, &inceval_count);
+            s.spawn(move || {
+                let mut local: Vec<EvalRecord> = Vec::new();
+                // PEval for the mask-selected fragments this worker owns
+                // (all of its fragments in a fresh run, the damaged ones in
+                // a bounded refresh, none in a monotone refresh — which
+                // starts straight from the retained partials and the
+                // pre-seeded mailboxes).  Mail addressed to a fragment whose
+                // PEval has not run yet simply waits in its mailbox.
+                for &fi in worker_fragments.iter().filter(|&&fi| ctx.peval[fi]) {
+                    if abort.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let t0 = Instant::now();
+                    match host.peval(fi) {
+                        Ok(updates) => {
+                            activity.fetch_add(1, Ordering::SeqCst);
+                            route_and_send(transport, ctx.gp, ctx.scope, fi, 0, updates, None);
+                        }
+                        Err(e) => {
+                            fail(e);
+                            break;
+                        }
+                    }
+                    activity.fetch_add(1, Ordering::SeqCst);
+                    committed[fi].store(IDLE, Ordering::SeqCst);
+                    unstarted.fetch_sub(1, Ordering::SeqCst);
+                    peval_count.fetch_add(1, Ordering::Relaxed);
+                    local.push(EvalRecord {
+                        fragment: fi,
+                        step: 0,
+                        consumed_messages: 0,
+                        consumed_bytes: 0,
+                        duration: t0.elapsed(),
+                    });
+                }
+                // Drain to quiescence.  `held`: drained mailboxes waiting
+                // for the gate of their committed round to open.
+                let mut held: HashMap<usize, Drained<P::Key, P::Value>> = HashMap::new();
+                let mut idle_rounds = 0u32;
+                'run: loop {
+                    if diverged.load(Ordering::SeqCst) || abort.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    // Commit every mailbox with mail to a round: at its
+                    // floor while draining, then at the exact round.  The
+                    // lock-free global pending count skips the per-mailbox
+                    // locking when there is nothing anywhere.
+                    let anything_pending = transport.pending_mailboxes() > 0;
+                    for &fi in worker_fragments {
+                        if !anything_pending || held.contains_key(&fi) || !transport.has_pending(fi)
+                        {
                             continue;
                         }
-                        if abort_ref.load(Ordering::SeqCst) {
-                            records_ref.lock().extend(local);
-                            return;
+                        activity.fetch_add(1, Ordering::SeqCst);
+                        busy.fetch_add(1, Ordering::SeqCst);
+                        let lowest = floor[fi].load(Ordering::SeqCst);
+                        committed[fi].store(lowest, Ordering::SeqCst);
+                        let drained = transport.drain(fi);
+                        if drained.updates.is_empty() {
+                            activity.fetch_add(1, Ordering::SeqCst);
+                            committed[fi].store(IDLE, Ordering::SeqCst);
+                            busy.fetch_sub(1, Ordering::SeqCst);
+                            continue;
                         }
+                        let round = lowest.max(drained.max_step);
+                        committed[fi].store(round, Ordering::SeqCst);
+                        held.insert(fi, drained);
+                    }
+                    // Evaluate, lowest round first, every held mailbox whose
+                    // gate is open.
+                    let mut ready: Vec<(usize, usize)> = held
+                        .keys()
+                        .map(|&fi| (committed[fi].load(Ordering::SeqCst), fi))
+                        .collect();
+                    ready.sort_unstable();
+                    let mut progressed = false;
+                    for (round, fi) in ready {
+                        if !gate_open(fi, round) {
+                            continue;
+                        }
+                        // Guard divergence on the logical round: it ratchets
+                        // up without bound for a non-monotonic program.
+                        if round >= ctx.config.max_supersteps {
+                            diverged.store(true, Ordering::SeqCst);
+                            break 'run;
+                        }
+                        let mut h = held.remove(&fi).expect("ready entries are held");
+                        // Mail that arrived since the drain was sent in a
+                        // round no later than this one (its senders passed
+                        // their gates against this commitment): absorb it.
+                        let late = transport.drain(fi);
+                        h.updates.extend(late.updates);
+                        h.messages += late.messages;
+                        h.bytes += late.bytes;
                         let t0 = Instant::now();
-                        let updates = match host.peval(fi) {
-                            Ok(updates) => updates,
-                            Err(e) => {
-                                let mut slot = first_error_ref.lock();
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                abort_ref.store(true, Ordering::SeqCst);
-                                records_ref.lock().extend(local);
-                                return;
+                        match host.inc_eval(fi, &h.updates) {
+                            Ok(updates) => {
+                                activity.fetch_add(1, Ordering::SeqCst);
+                                route_and_send(
+                                    transport, ctx.gp, ctx.scope, fi, round, updates, None,
+                                );
                             }
-                        };
-                        route_and_send(transport, ctx.gp, ctx.scope, fi, 0, updates);
-                        unstarted_ref.fetch_sub(1, Ordering::SeqCst);
-                        peval_count_ref.fetch_add(1, Ordering::Relaxed);
-                        evals.insert(fi, 0);
+                            Err(e) => {
+                                fail(e);
+                                break 'run;
+                            }
+                        }
+                        floor[fi].store(round + 1, Ordering::SeqCst);
+                        activity.fetch_add(1, Ordering::SeqCst);
+                        committed[fi].store(IDLE, Ordering::SeqCst);
+                        busy.fetch_sub(1, Ordering::SeqCst);
+                        inceval_count.fetch_add(1, Ordering::Relaxed);
                         local.push(EvalRecord {
                             fragment: fi,
-                            step: 0,
-                            consumed_messages: 0,
-                            consumed_bytes: 0,
+                            step: round,
+                            consumed_messages: h.messages,
+                            consumed_bytes: h.bytes,
                             duration: t0.elapsed(),
                         });
+                        progressed = true;
                     }
-                    // Drain to quiescence.
-                    let mut idle_rounds = 0u32;
-                    loop {
-                        if diverged_ref.load(Ordering::SeqCst) || abort_ref.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let mut progressed = false;
-                        // Fast path for idle spins: the lock-free global
-                        // pending count skips the per-mailbox locking when
-                        // there is nothing anywhere.
-                        let anything_pending = transport.pending_mailboxes() > 0;
-                        for &fi in &worker_fragments {
-                            if !anything_pending || !transport.has_pending(fi) {
-                                continue;
-                            }
-                            // `activity` is always bumped BEFORE the busy
-                            // transition it announces: an observer whose
-                            // activity re-read is unchanged can then be sure
-                            // no transition completed inside its window.
-                            activity_ref.fetch_add(1, Ordering::SeqCst);
-                            busy_ref.fetch_add(1, Ordering::SeqCst);
-                            let drained = transport.drain(fi);
-                            if drained.updates.is_empty() {
-                                activity_ref.fetch_add(1, Ordering::SeqCst);
-                                busy_ref.fetch_sub(1, Ordering::SeqCst);
-                                continue;
-                            }
-                            // First evaluation of a fragment: round 1 in the
-                            // full phase (its PEval was round 0), round 0 in
-                            // the incremental phase (seeds carry step 0 and
-                            // there is no PEval round).
-                            let own = evals.get(&fi).map_or(
-                                match phase {
-                                    Phase::Full => 1,
-                                    Phase::Incremental => 0,
-                                },
-                                |e| e + 1,
-                            );
-                            let step = own.min(drained.max_step + 1);
-                            // Guard divergence on the *logical* round, not
-                            // the raw evaluation count: piecemeal arrival
-                            // legitimately inflates evaluation counts above
-                            // the BSP superstep count, while the logical
-                            // round still ratchets up without bound for a
-                            // genuinely non-monotonic program (each message
-                            // carries its sender's assigned round).
-                            if step >= ctx.config.max_supersteps {
-                                diverged_ref.store(true, Ordering::SeqCst);
-                                activity_ref.fetch_add(1, Ordering::SeqCst);
-                                busy_ref.fetch_sub(1, Ordering::SeqCst);
-                                break;
-                            }
-                            evals.insert(fi, own);
-                            let t0 = Instant::now();
-                            let updates = match host.inc_eval(fi, &drained.updates) {
-                                Ok(updates) => updates,
-                                Err(e) => {
-                                    let mut slot = first_error_ref.lock();
-                                    if slot.is_none() {
-                                        *slot = Some(e);
-                                    }
-                                    abort_ref.store(true, Ordering::SeqCst);
-                                    activity_ref.fetch_add(1, Ordering::SeqCst);
-                                    busy_ref.fetch_sub(1, Ordering::SeqCst);
-                                    break;
-                                }
-                            };
-                            route_and_send(transport, ctx.gp, ctx.scope, fi, step, updates);
-                            activity_ref.fetch_add(1, Ordering::SeqCst);
-                            busy_ref.fetch_sub(1, Ordering::SeqCst);
-                            inceval_count_ref.fetch_add(1, Ordering::Relaxed);
-                            local.push(EvalRecord {
-                                fragment: fi,
-                                step,
-                                consumed_messages: drained.messages,
-                                consumed_bytes: drained.bytes,
-                                duration: t0.elapsed(),
-                            });
-                            progressed = true;
-                        }
-                        if progressed {
-                            idle_rounds = 0;
-                            continue;
-                        }
-                        // Seqlock-style exit: with `activity` unchanged
-                        // across the whole observation, `busy` was constant
-                        // (and read 0, so constant 0) — no evaluation was in
-                        // flight, so no send could race the mailbox read and
-                        // the observed zeros genuinely overlapped.
-                        let observed_activity = activity_ref.load(Ordering::SeqCst);
-                        if unstarted_ref.load(Ordering::SeqCst) == 0
-                            && transport.pending_mailboxes() == 0
-                            && busy_ref.load(Ordering::SeqCst) == 0
-                            && activity_ref.load(Ordering::SeqCst) == observed_activity
-                        {
-                            break;
-                        }
-                        idle_rounds += 1;
-                        if idle_rounds > 64 {
-                            std::thread::sleep(Duration::from_micros(50));
-                        } else {
-                            std::thread::yield_now();
-                        }
+                    if progressed {
+                        idle_rounds = 0;
+                        continue;
                     }
-                    records_ref.lock().extend(local);
-                });
-            }
-        });
-    }
+                    // Seqlock-style exit: with `activity` unchanged across
+                    // the whole observation, `busy` was constant (and read
+                    // 0, so constant 0) — no evaluation was in flight, so no
+                    // send could race the mailbox read and the observed
+                    // zeros genuinely overlapped.
+                    let observed_activity = activity.load(Ordering::SeqCst);
+                    if unstarted.load(Ordering::SeqCst) == 0
+                        && transport.pending_mailboxes() == 0
+                        && busy.load(Ordering::SeqCst) == 0
+                        && activity.load(Ordering::SeqCst) == observed_activity
+                    {
+                        break;
+                    }
+                    idle_rounds += 1;
+                    if idle_rounds > 64 {
+                        std::thread::sleep(Duration::from_micros(50));
+                    } else {
+                        std::thread::yield_now();
+                    }
+                }
+                records.lock().extend(local);
+            });
+        }
+    });
 
     if let Some(e) = first_error.into_inner() {
         return Err(e);
@@ -1081,6 +907,7 @@ fn streaming_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::load_balance::LoadBalancer;
     use crate::pie::Messages;
     use crate::session::GrapeSession;
     use grape_graph::builder::GraphBuilder;
@@ -1264,34 +1091,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_transport_under_sync_mode_agrees_with_barrier() {
-        let g = ring_graph(18);
-        let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
-        let barrier = GrapeSession::builder()
-            .workers(3)
-            .mode(EngineMode::Sync)
-            .transport(TransportSpec::Barrier)
-            .build()
-            .unwrap()
-            .run(&frag, &MinPropagation, &())
-            .unwrap();
-        let channel = GrapeSession::builder()
-            .workers(3)
-            .mode(EngineMode::Sync)
-            .transport(TransportSpec::Channel)
-            .build()
-            .unwrap()
-            .run(&frag, &MinPropagation, &())
-            .unwrap();
-        assert_eq!(barrier.output, channel.output);
-        // Exact message counts may differ: a streaming transport can deliver
-        // within the sweep, letting a later-scheduled fragment consume two
-        // rounds of mail in one drain.  Both still ship something real.
-        assert!(barrier.metrics.total_messages > 0);
-        assert!(channel.metrics.total_messages > 0);
-    }
-
-    #[test]
     fn failure_recovery_with_checkpoint_still_converges() {
         let g = ring_graph(12);
         let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
@@ -1417,5 +1216,154 @@ mod tests {
             assert!(result.metrics.inceval_calls > 0, "{mode:?}");
             assert!(!result.metrics.incremental);
         }
+    }
+
+    /// A [`WorkerHost`] that perturbs the schedule: before every
+    /// evaluation it yields or sleeps for a pseudo-random time drawn from
+    /// `seed`, the fragment and the call count.
+    struct Jittered<H> {
+        inner: H,
+        seed: u64,
+        calls: AtomicUsize,
+    }
+
+    impl<H> Jittered<H> {
+        fn jitter(&self, fi: usize) {
+            let n = self.calls.fetch_add(1, Ordering::Relaxed) as u64;
+            // splitmix64
+            let mut z = self.seed ^ ((fi as u64) << 40) ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            match z % 4 {
+                0 => {}
+                1 => std::thread::yield_now(),
+                _ => std::thread::sleep(Duration::from_micros((z >> 8) % 400)),
+            }
+        }
+    }
+
+    impl<P: PieProgram, H: WorkerHost<P>> WorkerHost<P> for Jittered<H> {
+        fn peval(&self, fi: usize) -> crate::host::EvalResult<P> {
+            self.jitter(fi);
+            self.inner.peval(fi)
+        }
+        fn inc_eval(
+            &self,
+            fi: usize,
+            updates: &[(P::Key, P::Value)],
+        ) -> crate::host::EvalResult<P> {
+            self.jitter(fi);
+            self.inner.inc_eval(fi, updates)
+        }
+        fn checkpoint_partials(&self) -> Result<Vec<Option<P::Partial>>, EngineError> {
+            self.inner.checkpoint_partials()
+        }
+        fn restore_partials(&self, saved: &[Option<P::Partial>]) -> Result<(), EngineError> {
+            self.inner.restore_partials(saved)
+        }
+        fn clear_partials(&self) -> Result<(), EngineError> {
+            self.inner.clear_partials()
+        }
+        fn into_partials(self) -> Result<Vec<P::Partial>, EngineError> {
+            self.inner.into_partials()
+        }
+    }
+
+    /// A seeded random digraph: a ring (so every vertex is reachable) plus
+    /// `extra` random chords.
+    fn chorded_ring(n: u64, extra: usize, seed: u64) -> grape_graph::graph::Graph {
+        let mut b = GraphBuilder::directed();
+        for v in 0..n {
+            b.push_edge(grape_graph::types::Edge::unweighted(v, (v + 1) % n));
+        }
+        let mut z = seed;
+        for _ in 0..extra {
+            z = z
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let from = (z >> 33) % n;
+            z = z
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let to = (z >> 33) % n;
+            if from != to {
+                b.push_edge(grape_graph::types::Edge::unweighted(from, to));
+            }
+        }
+        b.build()
+    }
+
+    /// The barrier-free runtime's superstep metric never exceeds the BSP
+    /// superstep count, whatever the schedule: seeded perturbations of the
+    /// evaluation timing over several graph shapes, fragment and worker
+    /// counts.  Every run must also reach the BSP answer.
+    #[test]
+    fn async_depth_never_exceeds_sync_under_schedule_perturbation() {
+        let graphs = [
+            ring_graph(48),
+            chorded_ring(60, 20, 7),
+            chorded_ring(90, 60, 11),
+        ];
+        let mut violations = Vec::new();
+        for (gi, g) in graphs.iter().enumerate() {
+            for num_fragments in [4usize, 8] {
+                let frag = HashEdgeCut::new(num_fragments).partition(g).unwrap();
+                let sync = GrapeSession::builder()
+                    .workers(2)
+                    .mode(EngineMode::Sync)
+                    .build()
+                    .unwrap()
+                    .run(&frag, &MinPropagation, &())
+                    .unwrap();
+                let fragments = frag.fragments().to_vec();
+                let peval = vec![true; num_fragments];
+                let aggregate = |k: &VertexId, a: u64, b: u64| MinPropagation.aggregate(k, a, b);
+                let size = |_: &u64| 8usize;
+                let ops = MessageOps {
+                    aggregate: &aggregate,
+                    key_size: &size,
+                    value_size: &size,
+                };
+                for workers in [2usize, 3] {
+                    let config = EngineConfig::with_workers(workers).asynchronous();
+                    let assignment = LoadBalancer::default().assign(&frag, workers);
+                    let ctx = RunCtx {
+                        config: &config,
+                        num_fragments,
+                        assignment: &assignment,
+                        gp: frag.gp(),
+                        scope: MinPropagation.scope(),
+                        peval: &peval,
+                    };
+                    for seed in 0..24u64 {
+                        let host = Jittered {
+                            inner: InProcessHost::new(
+                                &MinPropagation,
+                                &(),
+                                &fragments,
+                                &aggregate,
+                                None,
+                            ),
+                            seed: (seed << 8) | gi as u64,
+                            calls: AtomicUsize::new(0),
+                        };
+                        let transport = ChannelTransport::new(num_fragments, ops);
+                        let mut metrics = EngineMetrics::default();
+                        let partials =
+                            drive(&ctx, host, transport, Vec::new(), &mut metrics).unwrap();
+                        assert_eq!(MinPropagation.assemble(&(), partials), sync.output);
+                        if metrics.supersteps > sync.metrics.supersteps {
+                            violations.push((gi, num_fragments, workers, seed, metrics.supersteps));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            violations.is_empty(),
+            "async depth above the sync depth (graph, fragments, workers, seed, depth): \
+             {violations:?}"
+        );
     }
 }

@@ -82,22 +82,25 @@ pub(crate) struct InProcessHost<'r, P: PieProgram> {
 }
 
 impl<'r, P: PieProgram> InProcessHost<'r, P> {
-    /// `initial` pre-populates the partials: `None` everywhere for a full
-    /// run, the retained partials for an incremental refresh.
+    /// `retained` pre-populates the partials of an incremental refresh;
+    /// `None` starts every fragment empty (fresh run).
     pub fn new(
         program: &'r P,
         query: &'r P::Query,
         fragments: &'r [Arc<Fragment>],
         aggregate: AggregateFn<'r, P::Key, P::Value>,
-        initial: Vec<Option<P::Partial>>,
+        retained: Option<Vec<P::Partial>>,
     ) -> Self {
-        debug_assert_eq!(initial.len(), fragments.len());
+        let partials = match retained {
+            Some(ps) => ps.into_iter().map(|p| Mutex::new(Some(p))).collect(),
+            None => fragments.iter().map(|_| Mutex::new(None)).collect(),
+        };
         InProcessHost {
             program,
             query,
             fragments,
             aggregate,
-            partials: initial.into_iter().map(Mutex::new).collect(),
+            partials,
         }
     }
 }
@@ -190,20 +193,23 @@ pub(crate) struct ProcessHost<'r, P: PieProgram> {
     children: Vec<Mutex<WorkerChild>>,
     /// Fragment index → index into `children`.
     owner: Vec<usize>,
-    pipe_bytes: Arc<AtomicUsize>,
+    /// Bytes that crossed the pipes, handshake and teardown included.
+    pipe_bytes: &'r AtomicUsize,
 }
 
 impl<'r, P: PieProgram> ProcessHost<'r, P> {
     /// Spawns `workers` subprocesses (clamped to `1..=fragments.len()`),
     /// handshakes each with its shard, and returns the connected host.
     /// `partials` pre-populates the workers' retained partials (incremental
-    /// refresh); `None` starts everyone empty (full run).
+    /// refresh); `None` starts everyone empty (fresh run).  Every pipe byte
+    /// is added to `pipe_bytes`.
     pub fn spawn(
         program: &'r P,
         query: &P::Query,
         fragments: &[Arc<Fragment>],
         partials: Option<&[P::Partial]>,
         workers: usize,
+        pipe_bytes: &'r AtomicUsize,
     ) -> Result<Self, EngineError> {
         let codec = program.process_codec().ok_or_else(|| {
             EngineError::InvalidConfig(format!(
@@ -223,7 +229,6 @@ impl<'r, P: PieProgram> ProcessHost<'r, P> {
 
         let shards = shard_assignment(m, workers);
         let mut owner = vec![0usize; m];
-        let pipe_bytes = Arc::new(AtomicUsize::new(0));
         let mut children = Vec::with_capacity(workers);
         for (wi, shard) in shards.iter().enumerate() {
             for &fi in shard {
@@ -276,12 +281,6 @@ impl<'r, P: PieProgram> ProcessHost<'r, P> {
             owner,
             pipe_bytes,
         })
-    }
-
-    /// The shared pipe-byte counter, for metrics read after the host is
-    /// consumed by [`WorkerHost::into_partials`].
-    pub fn pipe_counter(&self) -> Arc<AtomicUsize> {
-        self.pipe_bytes.clone()
     }
 
     fn rpc(&self, wi: usize, frame: &Value) -> Result<Value, EngineError> {

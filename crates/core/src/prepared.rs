@@ -33,7 +33,7 @@ use grape_graph::delta::GraphDelta;
 use grape_partition::delta::{damage_frontier, DeltaApplication};
 use grape_partition::fragment::Fragmentation;
 
-use crate::engine::{prepare_parts, refresh_parts, EngineError, RefreshState};
+use crate::engine::{run_parts, EngineError, Start};
 use crate::metrics::EngineMetrics;
 use crate::output_delta::{diff_sorted, DeltaOutput, OutputDelta};
 use crate::pie::{IncrementalPie, PieProgram};
@@ -125,14 +125,7 @@ impl GrapeSession {
         program: P,
         query: P::Query,
     ) -> Result<PreparedQuery<P>, EngineError> {
-        let (partials, metrics) = prepare_parts(
-            self.config(),
-            self.balancer(),
-            self.transport(),
-            &fragmentation,
-            &program,
-            &query,
-        )?;
+        let (partials, metrics) = run_parts(self, &fragmentation, &program, &query, Start::Fresh)?;
         Ok(PreparedQuery {
             session: self.clone(),
             program,
@@ -345,19 +338,17 @@ impl<P: IncrementalPie> PreparedQuery<P> {
                 }
             }
 
-            let state = RefreshState {
+            let start = Start::Incremental {
                 partials: std::mem::take(&mut self.partials),
                 seeds,
                 repeval: Vec::new(),
             };
-            let (partials, metrics) = refresh_parts(
-                session.config(),
-                session.balancer(),
-                session.transport(),
+            let (partials, metrics) = run_parts(
+                &session,
                 &applied.fragmentation,
                 &self.program,
                 &self.query,
-                state,
+                start,
             )?;
             self.fragmentation = applied.fragmentation.clone();
             self.partials = partials;
@@ -389,15 +380,14 @@ impl<P: IncrementalPie> PreparedQuery<P> {
 
         if repeval.len() == m {
             // The frontier covers everything: classic full re-preparation.
-            // Nothing is mutated before `prepare_parts` succeeds, so an
+            // Nothing is mutated before the fresh run succeeds, so an
             // error here leaves the handle consistent at the old graph.
-            let (partials, metrics) = prepare_parts(
-                session.config(),
-                session.balancer(),
-                session.transport(),
+            let (partials, metrics) = run_parts(
+                &session,
                 &applied.fragmentation,
                 &self.program,
                 &self.query,
+                Start::Fresh,
             )?;
             self.fragmentation = applied.fragmentation.clone();
             self.partials = partials;
@@ -431,19 +421,17 @@ impl<P: IncrementalPie> PreparedQuery<P> {
         }
         // The taken partials are unrecoverable past this point.
         self.poisoned = true;
-        let state = RefreshState {
+        let start = Start::Incremental {
             partials: std::mem::take(&mut self.partials),
             seeds,
             repeval: repeval.clone(),
         };
-        let (partials, metrics) = refresh_parts(
-            session.config(),
-            session.balancer(),
-            session.transport(),
+        let (partials, metrics) = run_parts(
+            &session,
             &applied.fragmentation,
             &self.program,
             &self.query,
-            state,
+            start,
         )?;
         self.fragmentation = applied.fragmentation.clone();
         self.partials = partials;
@@ -742,9 +730,9 @@ mod tests {
     }
 
     /// The empty-delta short-circuit must answer before entering the
-    /// engine.  Pinned through a side door: `refresh_parts` categorically
-    /// rejects failure-injection sessions, so a no-op update succeeding on
-    /// one proves the engine was never spun up.
+    /// engine.  Pinned through a side door: an incremental engine run
+    /// categorically rejects failure-injection sessions, so a no-op update
+    /// succeeding on one proves the engine was never spun up.
     #[test]
     fn empty_delta_short_circuits_before_the_engine() {
         let g = path_graph(9);

@@ -56,7 +56,8 @@
 //! fragmentation it does not hold.
 //!
 //! **Concurrency.**  Within one [`GrapeServer::apply`] the per-query
-//! refreshes fan out over a scoped worker pool ([`GrapeServer::threads`]):
+//! refreshes fan out over a scoped worker pool, `refresh_threads` wide
+//! ([`crate::session::GrapeSessionBuilder::refresh_threads`]):
 //! each slot owns its partials, the single [`DeltaApplication`] is shared
 //! read-only, and the per-slot outcomes are merged into one [`ServeReport`]
 //! sorted by handle id — byte-identical regardless of completion order.
@@ -83,12 +84,10 @@ use std::time::{Duration, Instant};
 
 use grape_graph::delta::GraphDelta;
 use grape_graph::io::{write_value_tree, IoError};
-use grape_graph::types::VertexId;
 use grape_partition::delta::DeltaApplication;
 use grape_partition::fragment::Fragmentation;
 use grape_partition::snapshot::{
-    rehydrate_fragmentation, rehydrate_fragmentation_persisted, QuerySpillStore, SnapshotError,
-    SpillStoreStats,
+    rehydrate_fragmentation_persisted, QuerySpillStore, SnapshotError, SpillStoreStats,
 };
 use serde::{Deserialize, Serialize, Value};
 
@@ -570,36 +569,15 @@ where
             .map(P::Partial::from_value)
             .collect::<Result<_, _>>()
             .map_err(|e| ServeError::Snapshot(SnapshotError::Malformed(e.to_string())))?;
-        let fragmentation = match loaded.gp {
-            Some(gp) => {
-                // Tiered store: G_P and the quotient routing tables come
-                // straight off disk — nothing is re-derived.
-                let fragmentation = rehydrate_fragmentation_persisted(
-                    loaded.fragments,
-                    gp,
-                    at.source().clone(),
-                    at.strategy_name(),
-                )?;
-                if let Some(tables) = loaded.quotient {
-                    fragmentation.install_quotient_tables(tables);
-                }
-                fragmentation
-            }
-            None => {
-                // Legacy wholesale spill: the vertex assignment is read off
-                // the retained timeline's G_P and the index is re-derived
-                // from the fragments' border sets.
-                let assignment: Vec<u32> = (0..at.gp().num_vertices() as VertexId)
-                    .map(|v| at.gp().owner(v) as u32)
-                    .collect();
-                rehydrate_fragmentation(
-                    loaded.fragments,
-                    assignment,
-                    at.source().clone(),
-                    at.strategy_name(),
-                )?
-            }
-        };
+        // G_P and the quotient routing tables come straight off disk —
+        // nothing is re-derived.
+        let fragmentation = rehydrate_fragmentation_persisted(
+            loaded.fragments,
+            loaded.gp,
+            at.source().clone(),
+            at.strategy_name(),
+        )?;
+        fragmentation.install_quotient_tables(loaded.quotient);
         let cold = self.cold.take().expect("checked above");
         self.prepared = Some(PreparedQuery {
             session: cold.session,
@@ -767,11 +745,6 @@ pub struct GrapeServer {
     /// This server's process-unique token, stamped into every issued
     /// [`QueryHandle`].
     token: usize,
-    /// Refresh fan-out width (≥ 1); seeded from the session's
-    /// `refresh_threads`, overridable with [`GrapeServer::threads`].  Never
-    /// clamped to the machine's parallelism — the caller asked for this
-    /// width.
-    refresh_threads: usize,
     /// Group-commit cap in delta ops; `0` disables grouping (the default:
     /// every delta of an `apply_batch` is its own commit).
     group_limit: usize,
@@ -828,7 +801,6 @@ impl GrapeServer {
         fragmentation: Fragmentation,
         spill_dir: PathBuf,
     ) -> Self {
-        let refresh_threads = session.config().refresh_threads.max(1);
         GrapeServer {
             session,
             base: 0,
@@ -838,7 +810,6 @@ impl GrapeServer {
             spill_dir,
             owns_spill_dir: false,
             token: SERVER_SEQ.fetch_add(1, Ordering::Relaxed),
-            refresh_threads,
             group_limit: 0,
             policy: EvictionPolicy::Manual,
             compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
@@ -849,17 +820,6 @@ impl GrapeServer {
             subs: Vec::new(),
             pending_events: Vec::new(),
         }
-    }
-
-    /// Sets the refresh fan-out width: up to `n` resident queries refresh
-    /// concurrently per commit (clamped to ≥ 1, and at run time to the
-    /// number of queries actually ready).  Deliberately **not** clamped to
-    /// the machine's parallelism.  Each refresh still runs its own engine
-    /// with the session's `num_workers` threads, so the total thread demand
-    /// is `n × num_workers`.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.refresh_threads = n.max(1);
-        self
     }
 
     /// Enables group-commit for [`GrapeServer::apply_batch`]: consecutive
@@ -892,9 +852,14 @@ impl GrapeServer {
         self
     }
 
-    /// The configured refresh fan-out width.
+    /// The refresh fan-out width, the session's `refresh_threads`: up to
+    /// this many resident queries refresh concurrently per commit (clamped
+    /// at run time to the number of queries actually ready).  Deliberately
+    /// **not** clamped to the machine's parallelism.  Each refresh still
+    /// runs its own engine with the session's `num_workers` threads, so the
+    /// total thread demand is `refresh_threads × num_workers`.
     pub fn refresh_threads(&self) -> usize {
-        self.refresh_threads
+        self.session.config().refresh_threads.max(1)
     }
 
     /// The directory evicted queries spill into.
@@ -1302,13 +1267,8 @@ impl GrapeServer {
         // Concurrent fan-out: each ready slot refreshes against the shared
         // read-only DeltaApplication with exclusive access to its own
         // partials.
-        let results = Self::refresh_ready(
-            &mut self.slots,
-            &ready,
-            self.refresh_threads,
-            &applied,
-            delta,
-        );
+        let width = self.refresh_threads();
+        let results = Self::refresh_ready(&mut self.slots, &ready, width, &applied, delta);
         let mut events: Vec<QueryDelta> = Vec::new();
         for (id, result) in results {
             if result.is_ok() || self.slots[id].entry.is_poisoned() {
@@ -1447,7 +1407,7 @@ impl GrapeServer {
         let mut store = self.slots[id].store.take().expect("created above");
         let result = self.slots[id].entry.evict(&mut store).and_then(|path| {
             if store.chain_len() > self.compaction_threshold && store.compact()? {
-                Ok((store.active_base_path(), true))
+                Ok((store.base_path(), true))
             } else {
                 Ok((path, false))
             }
@@ -2366,7 +2326,13 @@ mod tests {
             for threads in [1usize, 3] {
                 let g = path_graph(12);
                 let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
-                let mut server = GrapeServer::new(session(mode), frag).threads(threads);
+                let s = GrapeSession::builder()
+                    .workers(2)
+                    .mode(mode)
+                    .refresh_threads(threads)
+                    .build()
+                    .unwrap();
+                let mut server = GrapeServer::new(s, frag);
                 assert_eq!(server.refresh_threads(), threads);
                 let handles: Vec<_> = (0..4)
                     .map(|_| server.register(MinForward, ()).unwrap())
@@ -2635,8 +2601,13 @@ mod tests {
 
         // Budget for one resident query, not two.
         let budget = one + one / 2;
-        let mut server = GrapeServer::new(session(EngineMode::Sync), frag)
-            .threads(4)
+        let wide = GrapeSession::builder()
+            .workers(2)
+            .mode(EngineMode::Sync)
+            .refresh_threads(4)
+            .build()
+            .unwrap();
+        let mut server = GrapeServer::new(wide, frag)
             .eviction_policy(EvictionPolicy::MemoryBudget { bytes: budget });
         let q0 = server.register(MinForward, ()).unwrap();
         assert_eq!(server.num_evicted(), 0, "one query fits");

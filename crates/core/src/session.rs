@@ -23,13 +23,16 @@
 //! returns the same [`RunResult`] shape as always, while
 //! `session.prepare(fragmentation, program, query)` returns a
 //! [`crate::prepared::PreparedQuery`] that retains the per-fragment partials
-//! for answering under graph updates.  Contradictory policies
-//! (the barrier-free [`EngineMode::Async`] with a [`TransportSpec::Barrier`]
-//! transport, or with superstep-aligned checkpointing) are rejected at
-//! [`GrapeSessionBuilder::build`] time rather than at run time.
+//! for answering under graph updates.  Contradictory policies (a mode
+//! paired with the other mode's in-process transport — each mode has
+//! exactly one, [`TransportSpec::default_for`] — or the barrier-free
+//! [`EngineMode::Async`] with superstep-aligned checkpointing) are rejected
+//! at [`GrapeSessionBuilder::build`] time rather than at run time.
 
 use crate::config::{EngineConfig, EngineMode};
-use crate::engine::{execute, EngineError, RunResult};
+use std::time::Instant;
+
+use crate::engine::{run_parts, EngineError, RunResult, Start};
 use crate::load_balance::LoadBalancer;
 use crate::pie::PieProgram;
 use crate::transport::TransportSpec;
@@ -75,14 +78,11 @@ impl GrapeSession {
         program: &P,
         query: &P::Query,
     ) -> Result<RunResult<P::Output>, EngineError> {
-        execute(
-            &self.config,
-            &self.balancer,
-            self.transport,
-            fragmentation,
-            program,
-            query,
-        )
+        let total_start = Instant::now();
+        let (partials, mut metrics) = run_parts(self, fragmentation, program, query, Start::Fresh)?;
+        let output = program.assemble(query, partials);
+        metrics.total_time = total_start.elapsed();
+        Ok(RunResult { output, metrics })
     }
 
     /// The session configuration.
@@ -148,9 +148,9 @@ impl GrapeSessionBuilder {
         self
     }
 
-    /// Default refresh fan-out width for [`crate::serve::GrapeServer`]s built
-    /// on this session (clamped to ≥ 1; overridable per server with
-    /// [`crate::serve::GrapeServer::threads`]).
+    /// Refresh fan-out width of the [`crate::serve::GrapeServer`]s built on
+    /// this session (clamped to ≥ 1; see
+    /// [`crate::serve::GrapeServer::refresh_threads`]).
     pub fn refresh_threads(mut self, threads: usize) -> Self {
         self.config.refresh_threads = threads.max(1);
         self
@@ -304,17 +304,17 @@ mod tests {
         assert!(matches!(err, EngineError::InvalidConfig(_)));
     }
 
+    /// Each mode has exactly one in-process substrate: the barrier-free
+    /// channel transport under the BSP mode is rejected like a barrier
+    /// under the async mode.
     #[test]
-    fn sync_mode_rejects_checkpointing_on_a_streaming_transport() {
-        // ChannelTransport cannot snapshot, so accepting this combination
-        // would silently degrade recovery to restart-from-scratch.
+    fn sync_mode_rejects_the_channel_transport() {
         let err = GrapeSession::builder()
             .mode(EngineMode::Sync)
             .transport(TransportSpec::Channel)
-            .checkpoint_every(1)
             .build()
             .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidConfig(_)));
+        assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

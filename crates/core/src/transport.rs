@@ -6,12 +6,14 @@
 //! engine's superstep loop and the asynchronous task runtime are both written
 //! against the [`Transport`] trait, and the choice of substrate is a policy
 //! ([`TransportSpec`]) picked by the [`crate::session::GrapeSession`]
-//! builder.  Today workers are threads; a transport backed by processes or
-//! TCP sockets slots in behind the same trait without touching the engine.
+//! builder.  *Where* evaluations run (threads of this process, or
+//! `grape-worker` subprocesses) is the worker host's business, not the
+//! transport's: message routing always stays in the parent.
 //!
-//! Two implementations ship:
+//! Two implementations ship, one per engine mode:
 //!
-//! * [`BarrierTransport`] — BSP semantics.  `send_batch` stages updates in a
+//! * [`BarrierTransport`] — BSP semantics, the substrate of
+//!   [`crate::config::EngineMode::Sync`].  `send_batch` stages updates in a
 //!   **per-sender** buffer (each sender locks only its own staging area, so
 //!   evaluation threads never contend); [`Transport::flush`] — called once
 //!   per superstep by the coordinator — aggregates conflicting assignments
@@ -60,22 +62,20 @@ impl<K, V> std::fmt::Debug for MessageOps<'_, K, V> {
     }
 }
 
-/// Which transport implementation a session uses.  `Barrier` pairs with
+/// Which transport implementation a session uses.  Each engine mode has
+/// exactly one in-process substrate: `Barrier` pairs with
 /// [`crate::config::EngineMode::Sync`], `Channel` with
-/// [`crate::config::EngineMode::Async`].  `Channel` also works under
-/// `Sync`, with two caveats: per-superstep message/byte attribution shifts
-/// one superstep late (the streaming transport charges at drain, not at
-/// the barrier — run totals are unaffected), and checkpointing is
-/// unavailable (no snapshot support, rejected at session build).
+/// [`crate::config::EngineMode::Async`]; any other pairing is rejected at
+/// session build.
 ///
 /// `Process` shards the fragments across `workers` OS subprocesses
-/// (`grape-worker`): PEval/IncEval execute inside the process that owns
-/// each fragment, and only seed/border messages plus the assembled
-/// partials cross the stdin/stdout pipes.  Message routing stays in the
-/// parent — under `Sync` the [`ProcessTransport`] publishes at the
-/// superstep barrier (and therefore checkpoints), under `Async` it
-/// streams.  The serde impls are written by hand because the derive shim
-/// only handles fieldless enums.
+/// (`grape-worker`) under either mode: PEval/IncEval execute inside the
+/// process that owns each fragment, and only seed/border messages plus the
+/// assembled partials cross the stdin/stdout pipes.  Message routing stays
+/// in the parent, on the mode's substrate — so `Sync` still publishes at
+/// the superstep barrier (and checkpoints), `Async` still streams.  The
+/// serde impls are written by hand because the derive shim only handles
+/// fieldless enums.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportSpec {
     /// Per-sender staging published at the superstep barrier
@@ -84,7 +84,7 @@ pub enum TransportSpec {
     /// Streaming mailboxes with no barrier ([`ChannelTransport`]).
     Channel,
     /// Fragments sharded across `workers` OS subprocesses; parent-side
-    /// mailboxes ([`ProcessTransport`]), evaluation over pipes.
+    /// mailboxes on the mode's substrate, evaluation over pipes.
     Process {
         /// Number of `grape-worker` subprocesses (clamped to
         /// `1..=num_fragments` at run time).
@@ -107,29 +107,6 @@ impl TransportSpec {
         match mode {
             crate::config::EngineMode::Sync => TransportSpec::Barrier,
             crate::config::EngineMode::Async => TransportSpec::Channel,
-        }
-    }
-
-    /// Whether this substrate can serve the barrier-free
-    /// [`crate::config::EngineMode::Async`] runtime (sends visible without
-    /// a flush).  `Process` qualifies: its parent-side mailboxes stream
-    /// under `Async`.
-    pub fn streaming_capable(&self) -> bool {
-        !matches!(self, TransportSpec::Barrier)
-    }
-
-    /// Whether a transport built from this spec can snapshot its mailboxes
-    /// for superstep-aligned checkpoints.  This is the capability the
-    /// session/engine validation queries instead of growing a
-    /// `if spec == …` chain per variant: each spec (including future TCP
-    /// node transports) declares its own answer.  `Process` checkpoints:
-    /// its parent-side mailboxes snapshot like `Barrier`'s, and the worker
-    /// subprocesses surrender their partials over the pipe.
-    pub fn supports_checkpoints(&self) -> bool {
-        match self {
-            TransportSpec::Barrier => true,
-            TransportSpec::Channel => false,
-            TransportSpec::Process { .. } => true,
         }
     }
 }
@@ -223,22 +200,15 @@ type StagedBatch<K, V> = (usize, usize, Vec<(K, V)>);
 ///
 /// * updates become visible to [`Transport::drain`] after
 ///   [`Transport::flush`] (barrier transports) or immediately (streaming
-///   transports, [`Transport::is_streaming`] = `true`);
+///   transports);
 /// * conflicting assignments to one key are resolved with `aggregateMsg`
 ///   before delivery, whichever sender they came from;
-/// * a value identical to the last one delivered to that mailbox is dropped
-///   free of charge (the *delivered* cache) — only **changed** values ship
+/// * a value identical to what the mailbox's *delivered* cache holds for
+///   its key is dropped free of charge — only **changed** values ship
 ///   and are accounted;
 /// * after [`Transport::seal`], further sends panic (a programming error),
 ///   while pending mail can still be drained.
 pub trait Transport<K, V>: Send + Sync {
-    /// Implementation name (metrics/debugging).
-    fn name(&self) -> &'static str;
-
-    /// Whether sends become visible without a `flush` — required by the
-    /// barrier-free asynchronous runtime.
-    fn is_streaming(&self) -> bool;
-
     /// Ships a batch of updates from fragment `from` to the mailbox of
     /// `dest`, tagged with the sender's logical step.
     fn send_batch(&self, from: usize, dest: usize, step: usize, updates: Vec<(K, V)>);
@@ -263,11 +233,6 @@ pub trait Transport<K, V>: Send + Sync {
     /// [`Transport::reset`] — re-shipped messages after a failure recovery
     /// are real communication).
     fn stats(&self) -> TransportStats;
-
-    /// Whether [`Transport::snapshot`] returns `Some` — the capability the
-    /// checkpointing machinery queries.  Must agree with `snapshot()`
-    /// (checked by the conformance suite).
-    fn supports_checkpoints(&self) -> bool;
 
     /// Captures mailbox state for checkpointing, or `None` when the
     /// transport cannot checkpoint (streaming transports).
@@ -342,14 +307,6 @@ where
     K: Clone + Eq + Hash + Send,
     V: Clone + PartialEq + Send,
 {
-    fn name(&self) -> &'static str {
-        "barrier"
-    }
-
-    fn is_streaming(&self) -> bool {
-        false
-    }
-
     fn send_batch(&self, from: usize, dest: usize, step: usize, updates: Vec<(K, V)>) {
         assert!(
             !self.sealed.load(Ordering::SeqCst),
@@ -443,10 +400,6 @@ where
         }
     }
 
-    fn supports_checkpoints(&self) -> bool {
-        true
-    }
-
     fn snapshot(&self) -> Option<TransportSnapshot<K, V>> {
         Some(TransportSnapshot {
             mailboxes: self.mailboxes.iter().map(|m| m.lock().clone()).collect(),
@@ -504,6 +457,11 @@ impl<K, V> ChannelMailbox<K, V> {
 /// Streaming (mpsc-style) transport: sends land in the destination mailbox
 /// immediately, aggregated with `aggregateMsg` on arrival; there is no
 /// global barrier.  The substrate of [`crate::config::EngineMode::Async`].
+///
+/// The delivered cache holds, per key, the `aggregateMsg` of *every* value
+/// delivered so far, not just the last one: without a barrier, a stale
+/// value can arrive after a fresher one, and a later repeat of the fresher
+/// value still adds nothing the destination has not absorbed.
 pub struct ChannelTransport<'p, K, V> {
     ops: MessageOps<'p, K, V>,
     mailboxes: Vec<Mutex<ChannelMailbox<K, V>>>,
@@ -536,14 +494,6 @@ where
     K: Clone + Eq + Hash + Send,
     V: Clone + PartialEq + Send,
 {
-    fn name(&self) -> &'static str {
-        "channel"
-    }
-
-    fn is_streaming(&self) -> bool {
-        true
-    }
-
     fn send_batch(&self, _from: usize, dest: usize, step: usize, updates: Vec<(K, V)>) {
         assert!(
             !self.sealed.load(Ordering::SeqCst),
@@ -596,7 +546,11 @@ where
             drained.messages += 1;
             drained.bytes += (self.ops.key_size)(&k) + (self.ops.value_size)(&v);
             drained.max_step = drained.max_step.max(step);
-            mailbox.delivered.insert(k.clone(), v.clone());
+            let seen = match mailbox.delivered.remove(&k) {
+                Some(old) => (self.ops.aggregate)(&k, old, v.clone()),
+                None => v.clone(),
+            };
+            mailbox.delivered.insert(k.clone(), seen);
             drained.updates.push((k, v));
         }
         self.messages.fetch_add(drained.messages, Ordering::SeqCst);
@@ -623,10 +577,6 @@ where
         }
     }
 
-    fn supports_checkpoints(&self) -> bool {
-        false
-    }
-
     fn snapshot(&self) -> Option<TransportSnapshot<K, V>> {
         None // streaming mailboxes are not checkpointable
     }
@@ -642,121 +592,6 @@ where
             m.delivered.clear();
         }
         self.nonempty.store(0, Ordering::SeqCst);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ProcessTransport
-// ---------------------------------------------------------------------------
-
-/// The message substrate of [`TransportSpec::Process`]: parent-side
-/// mailboxes fronting subprocess workers.
-///
-/// Fragment *evaluation* moves into `grape-worker` subprocesses (that is
-/// the `crate::host::WorkerHost` boundary, not the transport's), but
-/// message *routing* stays in the parent: the engine routes every emitted
-/// update through `G_P` and this transport queues it for the owning
-/// fragment exactly as in-process runs do.  The transport therefore wraps
-/// the in-process substrate matching the engine mode — [`BarrierTransport`]
-/// under [`crate::config::EngineMode::Sync`] (so superstep-aligned
-/// checkpoints keep working: parent mailboxes snapshot here, worker
-/// partials are collected over the pipe), [`ChannelTransport`] under
-/// [`crate::config::EngineMode::Async`] — and is constructible without any
-/// subprocess, which is how the conformance suite drives it through every
-/// contract case.
-pub struct ProcessTransport<'p, K, V> {
-    inner: ProcessInner<'p, K, V>,
-}
-
-enum ProcessInner<'p, K, V> {
-    Barrier(BarrierTransport<'p, K, V>),
-    Channel(ChannelTransport<'p, K, V>),
-}
-
-impl<'p, K, V> ProcessTransport<'p, K, V> {
-    /// A barrier-semantics (BSP) process transport over `num_fragments`
-    /// mailboxes — the [`crate::config::EngineMode::Sync`] substrate.
-    pub fn new(num_fragments: usize, ops: MessageOps<'p, K, V>) -> Self {
-        ProcessTransport {
-            inner: ProcessInner::Barrier(BarrierTransport::new(num_fragments, ops)),
-        }
-    }
-
-    /// A streaming process transport — the
-    /// [`crate::config::EngineMode::Async`] substrate.
-    pub fn streaming(num_fragments: usize, ops: MessageOps<'p, K, V>) -> Self {
-        ProcessTransport {
-            inner: ProcessInner::Channel(ChannelTransport::new(num_fragments, ops)),
-        }
-    }
-
-    fn as_dyn(&self) -> &dyn Transport<K, V>
-    where
-        K: Clone + Eq + Hash + Send,
-        V: Clone + PartialEq + Send,
-    {
-        match &self.inner {
-            ProcessInner::Barrier(t) => t,
-            ProcessInner::Channel(t) => t,
-        }
-    }
-}
-
-impl<K, V> Transport<K, V> for ProcessTransport<'_, K, V>
-where
-    K: Clone + Eq + Hash + Send,
-    V: Clone + PartialEq + Send,
-{
-    fn name(&self) -> &'static str {
-        "process"
-    }
-
-    fn is_streaming(&self) -> bool {
-        self.as_dyn().is_streaming()
-    }
-
-    fn send_batch(&self, from: usize, dest: usize, step: usize, updates: Vec<(K, V)>) {
-        self.as_dyn().send_batch(from, dest, step, updates);
-    }
-
-    fn flush(&self) -> TransportStats {
-        self.as_dyn().flush()
-    }
-
-    fn drain(&self, fragment: usize) -> Drained<K, V> {
-        self.as_dyn().drain(fragment)
-    }
-
-    fn has_pending(&self, fragment: usize) -> bool {
-        self.as_dyn().has_pending(fragment)
-    }
-
-    fn pending_mailboxes(&self) -> usize {
-        self.as_dyn().pending_mailboxes()
-    }
-
-    fn seal(&self) {
-        self.as_dyn().seal();
-    }
-
-    fn stats(&self) -> TransportStats {
-        self.as_dyn().stats()
-    }
-
-    fn supports_checkpoints(&self) -> bool {
-        self.as_dyn().supports_checkpoints()
-    }
-
-    fn snapshot(&self) -> Option<TransportSnapshot<K, V>> {
-        self.as_dyn().snapshot()
-    }
-
-    fn restore(&self, snapshot: &TransportSnapshot<K, V>) {
-        self.as_dyn().restore(snapshot);
-    }
-
-    fn reset(&self) {
-        self.as_dyn().reset();
     }
 }
 
@@ -784,17 +619,7 @@ mod tests {
     /// Accounting *timing* differs between the two (barrier charges at
     /// flush, channel at drain), so the suite always observes stats after a
     /// full send → flush → drain cycle, where both must agree.
-    fn conformance<T: Transport<u64, u64>>(t: &T) {
-        let name = t.name();
-
-        // (0) The checkpoint capability must agree with what snapshot()
-        // actually returns — the validation layer trusts the former.
-        assert_eq!(
-            t.supports_checkpoints(),
-            t.snapshot().is_some(),
-            "{name}: supports_checkpoints() must agree with snapshot()"
-        );
-
+    fn conformance<T: Transport<u64, u64>>(name: &str, t: &T) {
         // (1) Delivery: one update from fragment 0 to fragment 1.
         t.send_batch(0, 1, 0, vec![(5, 40)]);
         t.flush();
@@ -916,64 +741,13 @@ mod tests {
     #[test]
     fn barrier_transport_conforms() {
         let ops = MIN_OPS;
-        conformance(&BarrierTransport::new(3, ops));
+        conformance("barrier", &BarrierTransport::new(3, ops));
     }
 
     #[test]
     fn channel_transport_conforms() {
         let ops = MIN_OPS;
-        conformance(&ChannelTransport::new(3, ops));
-    }
-
-    /// `ProcessTransport` (both incarnations) passes every contract case
-    /// the in-process transports do: empty flush (case 8), seal after
-    /// drain (cases 9–10), dedup, aggregation, accounting.
-    #[test]
-    fn process_transport_conforms() {
-        let ops = MIN_OPS;
-        conformance(&ProcessTransport::new(3, ops));
-        conformance(&ProcessTransport::streaming(3, ops));
-    }
-
-    /// The sync-mode process transport holds sends until the barrier and
-    /// checkpoints; the async-mode one streams and does not.
-    #[test]
-    fn process_transport_follows_its_mode() {
-        let ops = MIN_OPS;
-        let sync = ProcessTransport::new(2, ops);
-        sync.send_batch(0, 1, 0, vec![(1, 1)]);
-        assert!(!sync.has_pending(1), "sync process publishes at flush only");
-        assert!(!sync.is_streaming());
-        assert!(sync.supports_checkpoints());
-        sync.flush();
-        assert!(sync.has_pending(1));
-
-        let streaming = ProcessTransport::streaming(2, ops);
-        streaming.send_batch(0, 1, 0, vec![(1, 1)]);
-        assert!(streaming.has_pending(1), "streaming delivers immediately");
-        assert!(streaming.is_streaming());
-        assert!(!streaming.supports_checkpoints());
-        assert!(streaming.snapshot().is_none());
-    }
-
-    /// A mid-superstep snapshot/restore through the process transport:
-    /// staged-but-unflushed sends are discarded on restore, exactly like
-    /// the barrier transport it wraps.
-    #[test]
-    fn process_snapshot_mid_superstep_discards_staged_sends() {
-        let ops = MIN_OPS;
-        let t = ProcessTransport::new(2, ops);
-        t.send_batch(0, 1, 0, vec![(3, 30)]);
-        t.flush();
-        t.send_batch(0, 1, 1, vec![(4, 40)]); // staged, not flushed
-        let snap = t.snapshot().expect("sync process transports checkpoint");
-        t.flush();
-        let mut d = t.drain(1).updates;
-        d.sort_unstable();
-        assert_eq!(d, vec![(3, 30), (4, 40)]);
-        t.restore(&snap);
-        assert_eq!(t.drain(1).updates, vec![(3, 30)]);
-        assert_eq!(t.flush(), TransportStats::default(), "staging was cleared");
+        conformance("channel", &ChannelTransport::new(3, ops));
     }
 
     #[test]
@@ -982,14 +756,12 @@ mod tests {
         let barrier = BarrierTransport::new(2, ops);
         barrier.send_batch(0, 1, 0, vec![(1, 1)]);
         assert!(!barrier.has_pending(1), "barrier publishes at flush only");
-        assert!(!barrier.is_streaming());
         barrier.flush();
         assert!(barrier.has_pending(1));
 
         let channel = ChannelTransport::new(2, ops);
         channel.send_batch(0, 1, 0, vec![(1, 1)]);
         assert!(channel.has_pending(1), "channel delivers immediately");
-        assert!(channel.is_streaming());
     }
 
     #[test]
@@ -1079,6 +851,22 @@ mod tests {
         );
     }
 
+    /// Without a barrier a stale value can arrive after a fresher one; a
+    /// later repeat of the fresher value adds nothing the mailbox has not
+    /// already aggregated, so the channel transport drops it.
+    #[test]
+    fn channel_dedups_against_everything_delivered() {
+        let ops = MIN_OPS;
+        let t: ChannelTransport<u64, u64> = ChannelTransport::new(2, ops);
+        t.send_batch(0, 1, 0, vec![(5, 10)]);
+        assert_eq!(t.drain(1).updates, vec![(5, 10)]);
+        t.send_batch(0, 1, 1, vec![(5, 30)]); // stale, still delivered
+        assert_eq!(t.drain(1).updates, vec![(5, 30)]);
+        t.send_batch(0, 1, 2, vec![(5, 10)]); // min(10, 30) was delivered
+        assert!(!t.has_pending(1), "a repeat of the aggregate must not ship");
+        assert_eq!(t.stats().messages, 2);
+    }
+
     #[test]
     fn channel_snapshot_is_unsupported() {
         let ops = MIN_OPS;
@@ -1111,16 +899,27 @@ mod tests {
         assert_eq!(TransportSpec::Process { workers: 2 }.name(), "process");
     }
 
-    /// Each spec declares its own checkpoint capability — the engine
-    /// validation queries this instead of matching on variants.
+    /// Checkpointing is superstep-aligned: every `Sync` spec supports it
+    /// (both placements publish over the snapshot-capable barrier
+    /// substrate), every `Async` spec rejects it.
     #[test]
     fn spec_checkpoint_capability() {
-        assert!(TransportSpec::Barrier.supports_checkpoints());
-        assert!(!TransportSpec::Channel.supports_checkpoints());
-        assert!(TransportSpec::Process { workers: 2 }.supports_checkpoints());
-        assert!(!TransportSpec::Barrier.streaming_capable());
-        assert!(TransportSpec::Channel.streaming_capable());
-        assert!(TransportSpec::Process { workers: 2 }.streaming_capable());
+        use crate::config::EngineMode;
+        use crate::session::GrapeSession;
+        let process = TransportSpec::Process { workers: 2 };
+        for (mode, spec, supported) in [
+            (EngineMode::Sync, TransportSpec::Barrier, true),
+            (EngineMode::Sync, process, true),
+            (EngineMode::Async, TransportSpec::Channel, false),
+            (EngineMode::Async, process, false),
+        ] {
+            let built = GrapeSession::builder()
+                .mode(mode)
+                .transport(spec)
+                .checkpoint_every(1)
+                .build();
+            assert_eq!(built.is_ok(), supported, "{mode:?} + {spec:?}");
+        }
     }
 
     #[test]

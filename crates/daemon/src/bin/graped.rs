@@ -159,6 +159,8 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grape_core::EngineError;
+    use grape_daemon::server::DaemonError;
 
     fn parse(args: &[&str]) -> Result<DaemonConfig, String> {
         parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -181,5 +183,28 @@ mod tests {
         );
         let err = parse(&["--transport", "carrier-pigeon"]).unwrap_err();
         assert!(err.contains("unknown transport"), "got: {err}");
+    }
+
+    /// A mode paired with the other mode's in-process transport is an
+    /// invalid engine configuration, reported as such — not as a
+    /// partitioning failure.
+    #[test]
+    fn mismatched_mode_and_transport_is_a_session_error() {
+        for args in [
+            ["--mode", "async", "--transport", "barrier"],
+            ["--mode", "sync", "--transport", "channel"],
+        ] {
+            let err = match GrapedHandle::spawn(parse(&args).unwrap()) {
+                Ok(_) => panic!("{args:?}: daemon started"),
+                Err(e) => e,
+            };
+            assert!(
+                matches!(err, DaemonError::Session(EngineError::InvalidConfig(_))),
+                "{args:?}: {err}"
+            );
+            let shown = err.to_string();
+            assert!(shown.contains("engine session"), "{args:?}: {shown}");
+            assert!(!shown.contains("partition"), "{args:?}: {shown}");
+        }
     }
 }

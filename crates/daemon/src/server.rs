@@ -35,6 +35,7 @@ use std::time::Instant;
 use grape_algorithms::cc::{Cc, CcQuery};
 use grape_algorithms::sssp::{Sssp, SsspQuery};
 use grape_core::config::EngineMode;
+use grape_core::engine::EngineError;
 use grape_core::serve::{GrapeServer, QueryHandle, ServeError, SubscriptionId};
 use grape_core::session::GrapeSession;
 use grape_core::spec::QuerySpec;
@@ -175,6 +176,9 @@ impl Default for DaemonConfig {
 pub enum DaemonError {
     /// Binding or socket setup failed.
     Io(std::io::Error),
+    /// The engine session could not be built: the configured mode,
+    /// transport and fault-tolerance policies contradict each other.
+    Session(EngineError),
     /// Partitioning the start graph failed.
     Partition(String),
     /// Preparing the mock workload failed.
@@ -185,6 +189,7 @@ impl std::fmt::Display for DaemonError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DaemonError::Io(e) => write!(f, "cannot start daemon: {e}"),
+            DaemonError::Session(e) => write!(f, "cannot build the engine session: {e}"),
             DaemonError::Partition(m) => write!(f, "cannot partition start graph: {m}"),
             DaemonError::Register(m) => write!(f, "cannot register mock workload: {m}"),
         }
@@ -609,10 +614,6 @@ impl GrapedHandle {
     /// listener and starts the accept + engine threads.  Returns once the
     /// daemon accepts connections.
     pub fn spawn(config: DaemonConfig) -> Result<GrapedHandle, DaemonError> {
-        let graph = config.graph.build();
-        let fragmentation = MetisLike::new(config.fragments)
-            .partition(&graph)
-            .map_err(|e| DaemonError::Partition(e.to_string()))?;
         let mut builder = GrapeSession::builder()
             .workers(config.workers)
             .mode(config.mode)
@@ -620,8 +621,10 @@ impl GrapedHandle {
         if let Some(transport) = config.transport {
             builder = builder.transport(transport);
         }
-        let session = builder
-            .build()
+        let session = builder.build().map_err(DaemonError::Session)?;
+        let graph = config.graph.build();
+        let fragmentation = MetisLike::new(config.fragments)
+            .partition(&graph)
             .map_err(|e| DaemonError::Partition(e.to_string()))?;
         let server = match &config.spill_dir {
             Some(dir) => GrapeServer::with_spill_dir(session, fragmentation, dir.clone()),

@@ -11,13 +11,8 @@
 //!   fragment as a self-delimiting record (magic header + value tree), so
 //!   records can be *concatenated* into a single spill file and read back
 //!   one at a time;
-//! * [`write_fragments_file`] / [`read_fragments_file`] store a whole
-//!   fragment set as a count-prefixed concatenation, rejecting trailing
-//!   bytes after the last record;
-//! * [`rehydrate_fragmentation`] reassembles a [`Fragmentation`] from
-//!   reloaded fragments plus the retained source graph and vertex
-//!   assignment, re-deriving the fragmentation graph `G_P` from the border
-//!   sets exactly like fresh partitioning does.
+//! * [`rehydrate_fragmentation_persisted`] reassembles a [`Fragmentation`]
+//!   from reloaded fragments around the persisted fragmentation graph `G_P`.
 //!
 //! The codec is strict: every record is validated with
 //! [`Fragment::check_invariants`] on read, and malformed or truncated input
@@ -49,7 +44,7 @@ use grape_graph::types::VertexId;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::delta::QuotientTables;
-use crate::fragment::{assemble_edge_cut, from_persisted_parts, Fragment, Fragmentation, LocalId};
+use crate::fragment::{from_persisted_parts, Fragment, Fragmentation, LocalId};
 use crate::fragmentation_graph::FragmentationGraph;
 
 /// Magic header of one fragment snapshot record: "GRPF" + format version 1.
@@ -180,24 +175,10 @@ pub fn read_fragment_snapshot<R: Read>(reader: &mut R) -> Result<Fragment, Snaps
     fragment_from_value(&value)
 }
 
-/// Writes a fragment set to a writer: a `u64` little-endian count prefix
-/// followed by the concatenated per-fragment records.  Composable — e.g.
-/// the prepared-query spill files embed this block followed by the
-/// partials.
-pub fn write_fragments<W: Write>(
-    fragments: &[Arc<Fragment>],
-    writer: &mut W,
-) -> Result<(), SnapshotError> {
-    writer.write_all(&(fragments.len() as u64).to_le_bytes())?;
-    for frag in fragments {
-        write_fragment_snapshot(frag, writer)?;
-    }
-    Ok(())
-}
-
-/// Reads a count-prefixed fragment block back, leaving the reader
-/// positioned after the last declared record (no end-of-input check — the
-/// caller of a composed format decides when the stream must end).
+/// Reads a count-prefixed fragment block (a `u64` little-endian count, then
+/// the concatenated records) back, leaving the reader positioned after the
+/// last declared record (no end-of-input check — the caller of a composed
+/// format decides when the stream must end).
 pub fn read_fragments<R: Read>(reader: &mut R) -> Result<Vec<Fragment>, SnapshotError> {
     let mut count = [0u8; 8];
     reader.read_exact(&mut count)?;
@@ -209,65 +190,9 @@ pub fn read_fragments<R: Read>(reader: &mut R) -> Result<Vec<Fragment>, Snapshot
     Ok(fragments)
 }
 
-/// Writes a whole fragment set to `path` ([`write_fragments`] as the entire
-/// file).
-pub fn write_fragments_file<P: AsRef<Path>>(
-    fragments: &[Arc<Fragment>],
-    path: P,
-) -> Result<(), SnapshotError> {
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_fragments(fragments, &mut w)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a fragment set back from `path`, rejecting trailing bytes after
-/// the last declared record (concatenation gone out of sync with the count
-/// prefix must not read back silently).
-pub fn read_fragments_file<P: AsRef<Path>>(path: P) -> Result<Vec<Fragment>, SnapshotError> {
-    let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
-    let fragments = read_fragments(&mut r)?;
-    ensure_fully_consumed(&mut r)?;
-    Ok(fragments)
-}
-
-/// Reassembles a [`Fragmentation`] from reloaded fragments: `G_P` is
-/// re-derived from the fragments' border sets, exactly as fresh edge-cut
-/// partitioning does.  `assignment` must map every vertex of `source` to
-/// its owning fragment (the evolving-graph timeline retains it) and the
-/// fragments must be the complete set, in fragment-id order.
-pub fn rehydrate_fragmentation(
-    fragments: Vec<Fragment>,
-    assignment: Vec<u32>,
-    source: Arc<Graph>,
-    strategy_name: &str,
-) -> Result<Fragmentation, SnapshotError> {
-    if assignment.len() != source.num_vertices() {
-        return Err(SnapshotError::Malformed(format!(
-            "assignment covers {} vertices, source has {}",
-            assignment.len(),
-            source.num_vertices()
-        )));
-    }
-    for (i, frag) in fragments.iter().enumerate() {
-        if frag.id() != i {
-            return Err(SnapshotError::Malformed(format!(
-                "fragment {} found at position {i}: snapshots out of order",
-                frag.id()
-            )));
-        }
-    }
-    Ok(assemble_edge_cut(
-        fragments.into_iter().map(Arc::new).collect(),
-        assignment,
-        source,
-        strategy_name.to_string(),
-    ))
-}
-
-/// Reassembles a [`Fragmentation`] around a **persisted** `G_P` — the tiered
-/// store's rehydration path, which must not re-derive anything from border
-/// sets.  Counts are validated against the retained source graph; the tests
+/// Reassembles a [`Fragmentation`] around a **persisted** `G_P` — the
+/// spill store's rehydration path, which must not re-derive anything from
+/// border sets.  Counts are validated against the retained source graph; the tests
 /// additionally pin the persisted `G_P` equal to a freshly derived one.
 pub fn rehydrate_fragmentation_persisted(
     fragments: Vec<Fragment>,
@@ -312,11 +237,9 @@ pub fn rehydrate_fragmentation_persisted(
 /// Magic prefix of every query spill file; the byte after it is the format
 /// version.
 const SPILL_MAGIC: &[u8; 4] = b"GRQS";
-/// Version 1: the legacy wholesale format (full fragments + partials, no
-/// `G_P`, no increments).  Still readable as a base snapshot.
-const SPILL_VERSION_V1: u8 = 1;
-/// Version 2: the tiered format (base + increment records).
-const SPILL_VERSION_V2: u8 = 2;
+/// The tiered format (base + increment records), the only one this build
+/// reads.
+const SPILL_VERSION: u8 = 2;
 /// Record kind byte of a version-2 base snapshot.
 const RECORD_BASE: u8 = b'B';
 /// Record kind byte of a version-2 increment.
@@ -337,7 +260,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Reads the 4-byte magic + 1-byte version, splitting "not a spill file"
 /// from "a spill file of an unsupported version" (the latter names the
 /// found and supported versions so the operator knows what to do).
-fn read_spill_version<R: Read>(r: &mut R) -> Result<u8, SnapshotError> {
+fn read_spill_version<R: Read>(r: &mut R) -> Result<(), SnapshotError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)
         .map_err(|e| SnapshotError::Io(IoError::Io(e)))?;
@@ -350,13 +273,27 @@ fn read_spill_version<R: Read>(r: &mut R) -> Result<u8, SnapshotError> {
     r.read_exact(&mut ver)
         .map_err(|e| SnapshotError::Io(IoError::Io(e)))?;
     match ver[0] {
-        SPILL_VERSION_V1 | SPILL_VERSION_V2 => Ok(ver[0]),
+        SPILL_VERSION => Ok(()),
         other => Err(SnapshotError::Malformed(format!(
-            "unsupported query spill format version {other}: this build reads versions \
-             {SPILL_VERSION_V1} (wholesale) and {SPILL_VERSION_V2} (tiered) — \
-             rewrite the spill with a matching build or clear the spill directory"
+            "unsupported query spill format version {other}: this build reads version \
+             {SPILL_VERSION} (tiered) — rewrite the spill with a matching build or \
+             clear the spill directory"
         ))),
     }
+}
+
+/// Reads the version header and the record-kind byte, which must be `kind`.
+fn read_record_header<R: Read>(r: &mut R, kind: u8, what: &str) -> Result<(), SnapshotError> {
+    read_spill_version(r)?;
+    let mut found = [0u8; 1];
+    r.read_exact(&mut found)?;
+    if found[0] != kind {
+        return Err(SnapshotError::Malformed(format!(
+            "expected {what} record, found kind {:?}",
+            found[0] as char
+        )));
+    }
+    Ok(())
 }
 
 fn header_u64(v: &Value, name: &str) -> Result<u64, SnapshotError> {
@@ -398,18 +335,16 @@ fn read_partials<R: Read>(r: &mut R) -> Result<Vec<Value>, SnapshotError> {
 pub struct LoadedSpill {
     /// The complete fragment set, in fragment-id order.
     pub fragments: Vec<Fragment>,
-    /// The persisted fragmentation graph; `None` for a legacy (v1) base,
-    /// whose reader falls back to re-deriving it.
-    pub gp: Option<FragmentationGraph>,
-    /// The persisted quotient routing tables (newest record wins); `None`
-    /// for a legacy base.
-    pub quotient: Option<Arc<QuotientTables>>,
+    /// The persisted fragmentation graph.
+    pub gp: FragmentationGraph,
+    /// The persisted quotient routing tables (newest record wins).
+    pub quotient: Arc<QuotientTables>,
     /// One partial-result value tree per fragment.
     pub partials: Vec<Value>,
     /// Compaction generation of the base this state was folded from.
     pub generation: u64,
-    /// Partition strategy recorded in the base (`None` for legacy bases).
-    pub strategy: Option<String>,
+    /// Partition strategy recorded in the base.
+    pub strategy: String,
 }
 
 /// Point-in-time counters of one query's spill store.
@@ -435,7 +370,6 @@ pub struct SpillStoreStats {
 /// |-------------------------|--------------------------------------------------|
 /// | `query-{id}.base`       | v2 base: header, `G_P`, quotient tables, all fragments, all partials |
 /// | `query-{id}.inc-{seq}`  | v2 increment: header, owner suffix, changed fragments, fresh quotient tables, changed partials |
-/// | `query-{id}.spill`      | legacy v1 wholesale snapshot, accepted as a base |
 /// | `*.tmp`                 | staging leftovers of a crashed write — never read, cleaned up |
 ///
 /// Increments carry the base's *generation*; compaction writes a new base
@@ -448,7 +382,6 @@ pub struct QuerySpillStore {
     generation: u64,
     chain_len: usize,
     has_base: bool,
-    legacy_base: bool,
     /// FNV-1a over each fragment's serialized record as of the last spill.
     frag_hashes: Vec<u64>,
     /// FNV-1a over each partial's serialized value tree as of the last spill.
@@ -470,7 +403,6 @@ impl QuerySpillStore {
             generation: 0,
             chain_len: 0,
             has_base: false,
-            legacy_base: false,
             frag_hashes: Vec::new(),
             partial_hashes: Vec::new(),
             owner_len: 0,
@@ -492,7 +424,7 @@ impl QuerySpillStore {
     }
 
     /// Recovers a store from whatever a previous process left on disk:
-    /// reads the base (v2 or legacy v1), accepts the longest valid
+    /// reads the base, accepts the longest valid
     /// increment chain of the base's generation, and deletes everything
     /// else — stale-generation increments from a crashed compaction,
     /// increments past a corrupt link, and orphaned `.tmp` files.  Returns
@@ -500,32 +432,23 @@ impl QuerySpillStore {
     pub fn recover(dir: &Path, query_id: usize) -> Result<Option<QuerySpillStore>, SnapshotError> {
         let mut store = Self::empty(dir, query_id);
         store.clean_temps();
-        let legacy = if store.base_path().exists() {
-            false
-        } else if store.legacy_path().exists() {
-            true
-        } else {
+        if !store.base_path().exists() {
             store.remove_query_files()?;
             return Ok(None);
-        };
+        }
         store.has_base = true;
-        store.legacy_base = legacy;
-        let mut folded = read_base_file(&store.active_base_path())?;
+        let mut folded = read_base_file(&store.base_path())?;
         store.generation = folded.generation;
 
         let mut chain = 0usize;
-        if !legacy {
-            loop {
-                let path = store.increment_path(chain);
-                if !path.exists() {
-                    break;
-                }
-                if apply_increment_file(&path, &mut folded, store.generation, chain as u64).is_err()
-                {
-                    break;
-                }
-                chain += 1;
+        loop {
+            let path = store.increment_path(chain);
+            if !path.exists()
+                || apply_increment_file(&path, &mut folded, store.generation, chain as u64).is_err()
+            {
+                break;
             }
+            chain += 1;
         }
         store.chain_len = chain;
         // Increments past the accepted chain are stale or corrupt.
@@ -535,7 +458,7 @@ impl QuerySpillStore {
             }
         }
         store.install_manifest(&folded)?;
-        store.base_bytes = std::fs::metadata(store.active_base_path())?.len();
+        store.base_bytes = std::fs::metadata(store.base_path())?.len();
         store.increment_bytes = 0;
         for seq in 0..chain {
             store.increment_bytes += std::fs::metadata(store.increment_path(seq))?.len();
@@ -548,27 +471,14 @@ impl QuerySpillStore {
         &self.dir
     }
 
-    /// The path of the current base snapshot (`.base`, or the legacy
-    /// `.spill` while the store still sits on a v1 file).
-    pub fn active_base_path(&self) -> PathBuf {
-        if self.legacy_base {
-            self.legacy_path()
-        } else {
-            self.base_path()
-        }
-    }
-
     /// The path of increment `seq` of the current chain.
     pub fn increment_path(&self, seq: usize) -> PathBuf {
         self.dir.join(format!("query-{}.inc-{seq}", self.query_id))
     }
 
-    fn base_path(&self) -> PathBuf {
+    /// The path of the base snapshot.
+    pub fn base_path(&self) -> PathBuf {
         self.dir.join(format!("query-{}.base", self.query_id))
-    }
-
-    fn legacy_path(&self) -> PathBuf {
-        self.dir.join(format!("query-{}.spill", self.query_id))
     }
 
     /// Number of increments chained on the current base.
@@ -592,8 +502,8 @@ impl QuerySpillStore {
         }
     }
 
-    /// Spills the query's current state: the first call (or any call while
-    /// the base is a legacy v1 file) writes a full base snapshot; later
+    /// Spills the query's current state: the first call writes a full base
+    /// snapshot; later
     /// calls append an increment holding only what changed since the
     /// previous spill.  Returns the path of the file written.
     pub fn spill(
@@ -614,7 +524,7 @@ impl QuerySpillStore {
         let partial_hashes: Vec<u64> = partial_records.iter().map(|b| fnv1a(b)).collect();
         let owner_total = frag.gp().num_vertices();
 
-        let path = if !self.has_base || self.legacy_base {
+        let path = if !self.has_base {
             self.write_base(
                 &frag.gp().to_value(),
                 &frag.quotient_tables().to_value(),
@@ -660,7 +570,7 @@ impl QuerySpillStore {
                 "spill store has no base snapshot".to_string(),
             ));
         }
-        let mut folded = read_base_file(&self.active_base_path())?;
+        let mut folded = read_base_file(&self.base_path())?;
         if folded.generation != self.generation {
             return Err(SnapshotError::Malformed(format!(
                 "base snapshot generation {} does not match the store's {}",
@@ -689,21 +599,14 @@ impl QuerySpillStore {
             return Ok(false);
         }
         let folded = self.load()?;
-        let gp = folded.gp.as_ref().ok_or_else(|| {
-            SnapshotError::Malformed("cannot compact a legacy chain without G_P".to_string())
-        })?;
-        let quotient = folded.quotient.as_ref().ok_or_else(|| {
-            SnapshotError::Malformed("cannot compact a chain without quotient tables".to_string())
-        })?;
         let frag_arcs: Vec<Arc<Fragment>> =
             folded.fragments.iter().cloned().map(Arc::new).collect();
         let frag_records = serialize_fragment_records(&frag_arcs)?;
         let partial_records = serialize_partial_records(&folded.partials)?;
-        let strategy = folded.strategy.clone().unwrap_or_default();
         self.write_base(
-            &gp.to_value(),
-            &quotient.to_value(),
-            &strategy,
+            &folded.gp.to_value(),
+            &folded.quotient.to_value(),
+            &folded.strategy,
             &frag_records,
             &partial_records,
         )?;
@@ -737,7 +640,7 @@ impl QuerySpillStore {
         ]);
         atomic_write_file::<SnapshotError, _>(&path, |w| {
             w.write_all(SPILL_MAGIC)?;
-            w.write_all(&[SPILL_VERSION_V2, RECORD_BASE])?;
+            w.write_all(&[SPILL_VERSION, RECORD_BASE])?;
             write_value_tree(w, &header)?;
             write_value_tree(w, gp)?;
             write_value_tree(w, quotient)?;
@@ -754,13 +657,9 @@ impl QuerySpillStore {
         for seq in 0..self.chain_len {
             let _ = std::fs::remove_file(self.increment_path(seq));
         }
-        if self.legacy_base {
-            let _ = std::fs::remove_file(self.legacy_path());
-        }
         self.generation = generation;
         self.chain_len = 0;
         self.has_base = true;
-        self.legacy_base = false;
         self.base_bytes = std::fs::metadata(&path)?.len();
         self.increment_bytes = 0;
         self.last_spill_bytes = self.base_bytes;
@@ -786,7 +685,7 @@ impl QuerySpillStore {
         let suffix = Value::Seq(owner_suffix.iter().map(|&o| Value::UInt(o)).collect());
         atomic_write_file::<SnapshotError, _>(&path, |w| {
             w.write_all(SPILL_MAGIC)?;
-            w.write_all(&[SPILL_VERSION_V2, RECORD_INCREMENT])?;
+            w.write_all(&[SPILL_VERSION, RECORD_INCREMENT])?;
             write_value_tree(w, &header)?;
             write_value_tree(w, &suffix)?;
             w.write_all(&(changed_frags.len() as u64).to_le_bytes())?;
@@ -825,7 +724,7 @@ impl QuerySpillStore {
         }
         self.frag_hashes = frag_hashes;
         self.partial_hashes = partial_hashes;
-        self.owner_len = folded.gp.as_ref().map_or(0, |gp| gp.num_vertices());
+        self.owner_len = folded.gp.num_vertices();
         Ok(())
     }
 
@@ -902,33 +801,10 @@ fn serialize_partial_records(partials: &[Value]) -> Result<Vec<Vec<u8>>, Snapsho
         .collect()
 }
 
-/// Reads one base file — v2 (`G_P` + quotient tables included) or legacy v1
-/// wholesale (accepted, with `gp`/`quotient` left `None`).
+/// Reads one base file: header, `G_P`, quotient tables, fragments, partials.
 fn read_base_file(path: &Path) -> Result<LoadedSpill, SnapshotError> {
     let mut r = BufReader::new(std::fs::File::open(path)?);
-    let version = read_spill_version(&mut r)?;
-    if version == SPILL_VERSION_V1 {
-        let fragments = read_fragments(&mut r)?;
-        let partials = read_partials(&mut r)?;
-        ensure_fully_consumed(&mut r)?;
-        validate_folded(&fragments, &partials)?;
-        return Ok(LoadedSpill {
-            fragments,
-            gp: None,
-            quotient: None,
-            partials,
-            generation: 0,
-            strategy: None,
-        });
-    }
-    let mut kind = [0u8; 1];
-    r.read_exact(&mut kind)?;
-    if kind[0] != RECORD_BASE {
-        return Err(SnapshotError::Malformed(format!(
-            "expected a base record, found kind {:?}",
-            kind[0] as char
-        )));
-    }
+    read_record_header(&mut r, RECORD_BASE, "a base")?;
     let header = read_value_tree(&mut r)?;
     let generation = header_u64(&header, "generation")?;
     let strategy = header_str(&header, "strategy")?;
@@ -949,11 +825,11 @@ fn read_base_file(path: &Path) -> Result<LoadedSpill, SnapshotError> {
     }
     Ok(LoadedSpill {
         fragments,
-        gp: Some(gp),
-        quotient: Some(Arc::new(quotient)),
+        gp,
+        quotient: Arc::new(quotient),
         partials,
         generation,
-        strategy: Some(strategy),
+        strategy,
     })
 }
 
@@ -986,20 +862,7 @@ fn apply_increment_file(
     expect_seq: u64,
 ) -> Result<(), SnapshotError> {
     let mut r = BufReader::new(std::fs::File::open(path)?);
-    let version = read_spill_version(&mut r)?;
-    if version != SPILL_VERSION_V2 {
-        return Err(SnapshotError::Malformed(format!(
-            "spill increment must be format version {SPILL_VERSION_V2}, found {version}"
-        )));
-    }
-    let mut kind = [0u8; 1];
-    r.read_exact(&mut kind)?;
-    if kind[0] != RECORD_INCREMENT {
-        return Err(SnapshotError::Malformed(format!(
-            "expected an increment record, found kind {:?}",
-            kind[0] as char
-        )));
-    }
+    read_record_header(&mut r, RECORD_INCREMENT, "an increment")?;
     let header = read_value_tree(&mut r)?;
     let generation = header_u64(&header, "generation")?;
     let seq = header_u64(&header, "seq")?;
@@ -1044,9 +907,6 @@ fn apply_increment_file(
         }
         changed.push(frag);
     }
-    let gp = folded.gp.as_mut().ok_or_else(|| {
-        SnapshotError::Malformed("increments cannot extend a legacy (v1) base".to_string())
-    })?;
     let quotient = QuotientTables::from_value(&read_value_tree(&mut r)?, folded.fragments.len())
         .map_err(SnapshotError::Malformed)?;
     let patched_count = read_count(&mut r)?;
@@ -1068,12 +928,12 @@ fn apply_increment_file(
         .iter()
         .map(|f| (f.id(), f.out_border_globals(), f.in_border_globals()))
         .collect();
-    gp.apply_border_patch(&owner_suffix, &borders);
+    folded.gp.apply_border_patch(&owner_suffix, &borders);
     for frag in changed {
         let id = frag.id();
         folded.fragments[id] = frag;
     }
-    folded.quotient = Some(Arc::new(quotient));
+    folded.quotient = Arc::new(quotient);
     for (index, partial) in patched_partials {
         folded.partials[index] = partial;
     }
@@ -1137,36 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn fragments_file_round_trip_and_rehydration() {
-        let frag = chain_fragmentation();
-        let path = std::env::temp_dir().join("grape_fragments_roundtrip.bin");
-        write_fragments_file(frag.fragments(), &path).unwrap();
-        let back = read_fragments_file(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(back.len(), frag.num_fragments());
-
-        let assignment: Vec<u32> = (0..frag.gp().num_vertices() as VertexId)
-            .map(|v| frag.gp().owner(v) as u32)
-            .collect();
-        let rehydrated = rehydrate_fragmentation(
-            back,
-            assignment,
-            frag.source().clone(),
-            frag.strategy_name(),
-        )
-        .unwrap();
-        assert_eq!(rehydrated.num_fragments(), frag.num_fragments());
-        for i in 0..frag.num_fragments() {
-            assert_same_fragment(frag.fragment(i), rehydrated.fragment(i));
-        }
-        // G_P is re-derived, not persisted: routing must agree.
-        for v in frag.gp().border_vertices() {
-            assert_eq!(frag.gp().owner(v), rehydrated.gp().owner(v));
-        }
-        assert_eq!(rehydrated.num_border_vertices(), frag.num_border_vertices());
-    }
-
-    #[test]
     fn rejects_bad_magic_and_truncation() {
         let frag = chain_fragmentation();
         let mut buf = Vec::new();
@@ -1176,22 +1006,6 @@ mod tests {
         assert!(read_fragment_snapshot(&mut Cursor::new(wrong)).is_err());
         buf.truncate(buf.len() - 2);
         assert!(read_fragment_snapshot(&mut Cursor::new(buf)).is_err());
-    }
-
-    #[test]
-    fn fragments_file_rejects_trailing_garbage() {
-        let frag = chain_fragmentation();
-        let path = std::env::temp_dir().join("grape_fragments_trailing.bin");
-        write_fragments_file(frag.fragments(), &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.push(0x7f);
-        std::fs::write(&path, bytes).unwrap();
-        let err = read_fragments_file(&path).unwrap_err();
-        let _ = std::fs::remove_file(&path);
-        assert!(
-            err.to_string().contains("trailing"),
-            "expected trailing-bytes rejection, got {err}"
-        );
     }
 
     fn store_dir(name: &str) -> PathBuf {
@@ -1211,11 +1025,8 @@ mod tests {
         for i in 0..frag.num_fragments() {
             assert_same_fragment(&folded.fragments[i], frag.fragment(i));
         }
-        assert_eq!(folded.gp.as_ref().unwrap(), frag.gp());
-        assert_eq!(
-            folded.quotient.as_deref().unwrap(),
-            &*frag.quotient_tables()
-        );
+        assert_eq!(&folded.gp, frag.gp());
+        assert_eq!(&*folded.quotient, &*frag.quotient_tables());
         assert_eq!(folded.partials, partials);
     }
 
@@ -1236,7 +1047,7 @@ mod tests {
 
         let folded = store.load().unwrap();
         assert_folded_matches(&folded, &f1, &partials_of(&f1, 1));
-        assert_eq!(folded.strategy.as_deref(), Some(f0.strategy_name()));
+        assert_eq!(folded.strategy, f0.strategy_name());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1327,40 +1138,48 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Concatenated records must line up exactly with their count
+    /// prefixes: a trailing byte after a base or an increment is
+    /// corruption, not slack.
     #[test]
-    fn legacy_v1_spill_is_accepted_and_upgraded() {
-        let dir = store_dir("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn base_and_increment_files_reject_trailing_garbage() {
+        let dir = store_dir("trailing");
+        let mut store = QuerySpillStore::create(&dir, 6).unwrap();
         let frag = chain_fragmentation();
-        let partials = partials_of(&frag, 0);
-
-        // Hand-write the v1 wholesale format the previous release produced.
-        let mut buf: Vec<u8> = Vec::new();
-        buf.extend_from_slice(b"GRQS\x01");
-        write_fragments(frag.fragments(), &mut buf).unwrap();
-        buf.extend_from_slice(&(partials.len() as u64).to_le_bytes());
-        for p in &partials {
-            write_value_tree(&mut buf, p).unwrap();
+        store.spill(&frag, &partials_of(&frag, 0)).unwrap();
+        store.spill(&frag, &partials_of(&frag, 1)).unwrap();
+        for path in [store.base_path(), store.increment_path(0)] {
+            let clean = std::fs::read(&path).unwrap();
+            let mut bytes = clean.clone();
+            bytes.push(0x7f);
+            std::fs::write(&path, bytes).unwrap();
+            let err = store.load().unwrap_err();
+            assert!(
+                err.to_string().contains("trailing"),
+                "{path:?}: expected trailing-bytes rejection, got {err}"
+            );
+            std::fs::write(&path, clean).unwrap();
         }
-        std::fs::write(dir.join("query-3.spill"), &buf).unwrap();
+        assert_folded_matches(&store.load().unwrap(), &frag, &partials_of(&frag, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        let mut store = QuerySpillStore::recover(&dir, 3).unwrap().unwrap();
-        assert_eq!(store.chain_len(), 0);
-        let folded = store.load().unwrap();
-        assert!(folded.gp.is_none());
-        assert!(folded.quotient.is_none());
-        assert_eq!(folded.partials, partials);
-        assert_eq!(folded.fragments.len(), frag.num_fragments());
+    /// A `query-{id}.spill` file (the retired wholesale format) is just a
+    /// stray file of the query: `create` and `recover` sweep it, and
+    /// `recover` finds no base.
+    #[test]
+    fn stray_wholesale_spill_files_are_swept() {
+        let dir = store_dir("stray");
+        std::fs::create_dir_all(&dir).unwrap();
+        let stray = dir.join("query-3.spill");
+        std::fs::write(&stray, b"GRQS\x01old").unwrap();
+        assert!(QuerySpillStore::recover(&dir, 3).unwrap().is_none());
+        assert!(!stray.exists(), "recover sweeps the stray file");
 
-        // The next spill upgrades in place: a fresh v2 base replaces the
-        // legacy file, and increments chain from there.
-        let path = store.spill(&frag, &partials_of(&frag, 1)).unwrap();
-        assert!(path.to_string_lossy().ends_with("query-3.base"));
-        assert!(!dir.join("query-3.spill").exists());
-        let path = store.spill(&frag, &partials_of(&frag, 2)).unwrap();
-        assert!(path.to_string_lossy().ends_with("query-3.inc-0"));
-        let folded = store.load().unwrap();
-        assert_folded_matches(&folded, &frag, &partials_of(&frag, 2));
+        std::fs::write(&stray, b"GRQS\x01old").unwrap();
+        let store = QuerySpillStore::create(&dir, 3).unwrap();
+        assert!(!stray.exists(), "create sweeps the stray file");
+        assert!(!store.has_base());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1376,18 +1195,25 @@ mod tests {
             "{err}"
         );
 
-        let future = dir.join("future");
-        std::fs::write(&future, b"GRQS\x09rest").unwrap();
-        let err = read_base_file(&future).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("unsupported query spill format version 9"),
-            "{msg}"
-        );
-        assert!(
-            msg.contains('2'),
-            "should name the supported versions: {msg}"
-        );
+        // Version 1 (the retired wholesale format) and a future version
+        // are both unsupported, and the error names the readable one.
+        for version in [1u8, 9] {
+            let path = dir.join(format!("v{version}"));
+            let mut bytes = b"GRQS".to_vec();
+            bytes.push(version);
+            bytes.extend_from_slice(b"rest");
+            std::fs::write(&path, bytes).unwrap();
+            let err = read_base_file(&path).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("unsupported query spill format version {version}")),
+                "{msg}"
+            );
+            assert!(
+                msg.contains("reads version 2"),
+                "should name the supported version: {msg}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

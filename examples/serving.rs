@@ -36,9 +36,13 @@ fn main() {
     );
 
     let fragments = MetisLike::new(4).partition(&graph).expect("partition");
-    let session = GrapeSession::with_workers(4);
     // Refresh up to 4 depots concurrently once each ΔG is applied.
-    let mut server = GrapeServer::new(session, fragments).threads(4);
+    let session = GrapeSession::builder()
+        .workers(4)
+        .refresh_threads(4)
+        .build()
+        .expect("a four-worker session is always valid");
+    let mut server = GrapeServer::new(session, fragments);
 
     // Three depots, three standing SSSP queries over ONE fragmentation.
     let depots: Vec<VertexId> = vec![0, 1770, 3599];

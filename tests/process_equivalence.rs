@@ -1,6 +1,7 @@
 //! Location transparency of the Process transport: the answer to a query
 //! must be **byte-identical** whether fragments are evaluated in-process
-//! (`TransportSpec::Barrier` / `TransportSpec::Channel`) or sharded across
+//! (`TransportSpec::Barrier` under `Sync`, `TransportSpec::Channel` under
+//! `Async`) or sharded across
 //! `grape-worker` subprocesses (`TransportSpec::Process`), in both engine
 //! modes — for all five PIE families and including the prepare → update
 //! incremental path.
@@ -31,19 +32,13 @@ use grape::graph::types::Edge;
 use grape::partition::edge_cut::HashEdgeCut;
 use grape::partition::strategy::PartitionStrategy;
 
-/// Every transport legal under `mode` (Async rejects the barrier).
+/// Every transport legal under `mode`: the mode's one in-process substrate
+/// and the subprocess placement.
 fn specs(mode: EngineMode) -> Vec<TransportSpec> {
-    match mode {
-        EngineMode::Sync => vec![
-            TransportSpec::Barrier,
-            TransportSpec::Channel,
-            TransportSpec::Process { workers: 2 },
-        ],
-        EngineMode::Async => vec![
-            TransportSpec::Channel,
-            TransportSpec::Process { workers: 2 },
-        ],
-    }
+    vec![
+        TransportSpec::default_for(mode),
+        TransportSpec::Process { workers: 2 },
+    ]
 }
 
 fn session(workers: usize, mode: EngineMode, spec: TransportSpec) -> GrapeSession {

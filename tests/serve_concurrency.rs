@@ -66,6 +66,15 @@ fn session(workers: usize, mode: EngineMode) -> GrapeSession {
         .unwrap()
 }
 
+/// `s` with a refresh fan-out `w` wide.
+fn widened(s: &GrapeSession, w: usize) -> GrapeSession {
+    GrapeSession::builder()
+        .config(s.config().clone())
+        .refresh_threads(w)
+        .build()
+        .unwrap()
+}
+
 /// A random directed weighted graph (the `delta_fuzz.rs` generator family).
 fn arb_graph(rng: &mut StdRng, max_n: u64, max_m: usize) -> Graph {
     let n = rng.gen_range(8..max_n.max(10));
@@ -161,7 +170,7 @@ impl Fleet {
         let mut sssp = Vec::new();
         let mut min = Vec::new();
         for &w in &WIDTHS {
-            let mut server = GrapeServer::new(s.clone(), frag.clone()).threads(w);
+            let mut server = GrapeServer::new(widened(s, w), frag.clone());
             sssp.push(
                 sources
                     .iter()
@@ -340,11 +349,9 @@ fn fuzz_batch_pipelining(profile: &Profile, mode: EngineMode, seed_base: u64) {
                 .map(|&src| server.register(Sssp, SsspQuery::new(src)).unwrap())
                 .collect()
         };
-        let mut sequential = GrapeServer::new(s.clone(), frag.clone()).threads(2);
-        let mut batched = GrapeServer::new(s.clone(), frag.clone()).threads(2);
-        let mut grouped = GrapeServer::new(s.clone(), frag)
-            .threads(2)
-            .group_commit(24);
+        let mut sequential = GrapeServer::new(widened(&s, 2), frag.clone());
+        let mut batched = GrapeServer::new(widened(&s, 2), frag.clone());
+        let mut grouped = GrapeServer::new(widened(&s, 2), frag).group_commit(24);
         let seq_handles = register(&mut sequential);
         let batch_handles = register(&mut batched);
         let group_handles = register(&mut grouped);
@@ -439,7 +446,7 @@ fn poisoned_and_behind_queries_are_width_independent() {
 
         let mut fleets = Vec::new();
         for &w in &[1usize, 4] {
-            let mut server = GrapeServer::new(s.clone(), frag.clone()).threads(w);
+            let mut server = GrapeServer::new(widened(&s, w), frag.clone());
             let flaky_prog = TrippablePrepare::new();
             let flaky = server.register(flaky_prog.clone(), ()).unwrap();
             let healthy = server.register(MinForward, ()).unwrap();
